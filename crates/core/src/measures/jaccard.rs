@@ -8,24 +8,43 @@
 //! Within the F-Box, unfairness must grow when lists diverge, so the
 //! drivers use [`distance`] (= 1 − index). Both directions are exposed.
 //!
-//! Sets are `BTreeSet`s (`T: Ord`), keeping every walk over them in a
-//! deterministic order — this module sits inside the cube-build cone
-//! checked by the `det-hash-iter` lint.
-
-use std::collections::BTreeSet;
+//! Each list becomes a sorted, deduplicated vector of item references
+//! (`T: Ord`) and the intersection is counted by one merge walk, so no
+//! hash order is ever iterated — this module sits inside the cube-build
+//! cone checked by the `det-hash-iter` lint. The index is a ratio of two
+//! integer counts, hence bitwise symmetric in its arguments.
 
 /// Jaccard index `|A ∩ B| / |A ∪ B|` of the *sets* of items in the two
 /// lists (duplicates are collapsed). Two empty lists have index 1
 /// (identical) by convention.
 pub fn index<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    let sa: BTreeSet<&T> = a.iter().collect();
-    let sb: BTreeSet<&T> = b.iter().collect();
+    let (sa, sb) = (sorted_set(a), sorted_set(b));
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
+    let (mut i, mut j, mut inter, mut union) = (0, 0, 0usize, 0usize);
+    while i < sa.len() && j < sb.len() {
+        match sa[i].cmp(sb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+        union += 1;
+    }
+    union += sa[i..].len() + sb[j..].len();
     inter as f64 / union as f64
+}
+
+/// The distinct items of `list`, in ascending order.
+fn sorted_set<T: Ord>(list: &[T]) -> Vec<&T> {
+    let mut set: Vec<&T> = list.iter().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// Jaccard distance `1 − index(a, b)` ∈ `[0, 1]`; 0 for identical sets,

@@ -92,7 +92,7 @@ fn merge_count(left: &[usize], right: &[usize], out: &mut [usize]) -> u64 {
             out[k] = right[j];
             j += 1;
             // right[j] jumps ahead of everything left in `left`.
-            count += (left.len() - i) as u64;
+            count += left[i..].len() as u64;
         }
         k += 1;
     }
@@ -181,6 +181,16 @@ fn tied_pairs(v: &[f64]) -> i64 {
 ///    unknowable). `p = 0` is the optimistic variant, `p = 1/2` the
 ///    neutral one used by default in this crate.
 ///
+/// Rather than visiting every pair of the union, each case is counted as
+/// an integer from item positions: one hash lookup per item finds its
+/// position in the other list, case 1 is an inversion count over the
+/// shared items, case 2 a running count of exclusive items ranked above
+/// each shared one, and cases 3–4 follow from the exclusive-item counts.
+/// The penalty is `cases 1–3 + p · case 4`, so the cost is
+/// O(|A| + |B| + s log s) for `s` shared items. The integer counts make
+/// the result bitwise symmetric in its arguments, and for `p ∈ {0, ½, 1}`
+/// bit-identical to summing the per-pair penalties in any order.
+///
 /// The total is divided by its value for two fully disjoint lists of the
 /// same lengths (the maximum for `p ≤ 1`), giving 0 for identical lists
 /// and 1 for disjoint ones.
@@ -193,22 +203,39 @@ pub fn top_k_distance<T: Eq + Hash + Clone>(a: &[T], b: &[T], p: f64) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
-    let pos_a: HashMap<&T, usize> = a.iter().enumerate().map(|(i, x)| (x, i)).collect();
-    let pos_b: HashMap<&T, usize> = b.iter().enumerate().map(|(i, x)| (x, i)).collect();
-    assert_eq!(pos_a.len(), a.len(), "top_k_distance: duplicate item in first list");
-    assert_eq!(pos_b.len(), b.len(), "top_k_distance: duplicate item in second list");
-
-    // Union of items, deduplicated.
-    let mut universe: Vec<&T> = a.iter().collect();
-    universe.extend(b.iter().filter(|x| !pos_a.contains_key(*x)));
-
-    let mut penalty = 0.0f64;
-    for i in 0..universe.len() {
-        for j in (i + 1)..universe.len() {
-            let (x, y) = (universe[i], universe[j]);
-            penalty += pair_penalty(pos_a.get(x), pos_b.get(x), pos_a.get(y), pos_b.get(y), p);
+    // Slot of every item: `i` for position `i` of `a`, `a.len() + j` for
+    // an item found only at position `j` of `b`.
+    let mut slot: HashMap<&T, usize> = HashMap::with_capacity(a.len() + b.len());
+    for (i, x) in a.iter().enumerate() {
+        let fresh = slot.insert(x, i).is_none();
+        assert!(fresh, "top_k_distance: duplicate item in first list");
+    }
+    // `b_pos[i]`: position in `b` of `a[i]`; `in_a[j]`: whether `b[j]` is in `a`.
+    let mut b_pos: Vec<Option<usize>> = vec![None; a.len()];
+    let mut in_a = vec![false; b.len()];
+    for (j, y) in b.iter().enumerate() {
+        let i = *slot.entry(y).or_insert(a.len() + j);
+        if i < a.len() {
+            assert!(b_pos[i].is_none(), "top_k_distance: duplicate item in second list");
+            b_pos[i] = Some(j);
+            in_a[j] = true;
+        } else {
+            assert_eq!(i, a.len() + j, "top_k_distance: duplicate item in second list");
         }
     }
+
+    // Case 1: the `b` positions of the shared items, in `a`'s order, are
+    // inverted exactly where the lists disagree.
+    let mut shared: Vec<usize> = b_pos.iter().flatten().copied().collect();
+    let discordant = count_inversions(&mut shared);
+    // Case 2: an exclusive item ranked above a shared one, in either list.
+    let (a_only, a_above) = exclusive_above_shared(b_pos.iter().map(Option::is_some));
+    let (b_only, b_above) = exclusive_above_shared(in_a.iter().copied());
+    // Case 3: one exclusive item from each list.
+    let cases_1_3 = discordant + a_above + b_above + a_only * b_only;
+    // Case 4: two exclusive items of the same list.
+    let case_4 = a_only * a_only.saturating_sub(1) / 2 + b_only * b_only.saturating_sub(1) / 2;
+    let penalty = cases_1_3 as f64 + p * case_4 as f64;
 
     let max = max_penalty(a.len(), b.len(), p);
     if approx_zero(max) {
@@ -218,60 +245,20 @@ pub fn top_k_distance<T: Eq + Hash + Clone>(a: &[T], b: &[T], p: f64) -> f64 {
     }
 }
 
-fn pair_penalty(
-    xa: Option<&usize>,
-    xb: Option<&usize>,
-    ya: Option<&usize>,
-    yb: Option<&usize>,
-    p: f64,
-) -> f64 {
-    match (xa, xb, ya, yb) {
-        // Case 1: both items in both lists.
-        (Some(&xa), Some(&xb), Some(&ya), Some(&yb)) => {
-            if (xa < ya) == (xb < yb) {
-                0.0
-            } else {
-                1.0
-            }
+/// Walks one list top to bottom (`shared[i]`: whether its `i`-th item is
+/// in the other list). Returns its number of exclusive items and the
+/// number of pairs where an exclusive item sits above a shared one — the
+/// case-2 disagreements of that list.
+fn exclusive_above_shared(shared: impl Iterator<Item = bool>) -> (u64, u64) {
+    let (mut exclusive, mut pairs) = (0u64, 0u64);
+    for is_shared in shared {
+        if is_shared {
+            pairs += exclusive;
+        } else {
+            exclusive += 1;
         }
-        // Case 2: both in list A; exactly one (x) also in B → B implies
-        // x ahead of y; disagreement iff A ranks y ahead of x.
-        (Some(&xa), Some(_), Some(&ya), None) => {
-            if ya < xa {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        (Some(&xa), None, Some(&ya), Some(_)) => {
-            if xa < ya {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        // Mirror of case 2 for list B.
-        (Some(_), Some(&xb), None, Some(&yb)) => {
-            if yb < xb {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        (None, Some(&xb), Some(_), Some(&yb)) => {
-            if xb < yb {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        // Case 3: one item exclusive to each list — necessarily discordant.
-        (Some(_), None, None, Some(_)) | (None, Some(_), Some(_), None) => 1.0,
-        // Case 4: both items exclusive to the same list.
-        (Some(_), None, Some(_), None) | (None, Some(_), None, Some(_)) => p,
-        // A pair drawn from the union always has each item in ≥ 1 list.
-        _ => unreachable!("item in neither list cannot appear in the union"),
     }
+    (exclusive, pairs)
 }
 
 /// `K^(p)` of two fully disjoint lists of lengths `ka` and `kb` — the

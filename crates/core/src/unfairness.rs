@@ -282,13 +282,14 @@ impl<'u> MeasureContext<'u> {
 ///
 /// - group membership of each user list is decided once per `(group,
 ///   list)` instead of once per `(group, comparable, list)`;
-/// - pairwise list distances are memoized per **ordered** `(u, u')` index
-///   pair. Overlapping groups (every user is in a gender, an ethnicity,
-///   and a full lattice group) request many ordered pairs repeatedly; the
-///   ordered key keeps each cached value the exact `f64` the reference
-///   computes, without assuming the distance is bitwise symmetric
-///   (Kendall's `K^(p)` sums penalties in union order, which swaps with
-///   its arguments).
+/// - pairwise list distances are memoized per **unordered** `(u, u')`
+///   index pair in a dense `n × n` table. Overlapping groups (every user
+///   is in a gender, an ethnicity, and a full lattice group) request many
+///   pairs repeatedly, and `(g, g')` and `(g', g)` request the same pairs
+///   swapped. Both list distances are bitwise symmetric — Kendall's
+///   `K^(p)` and Jaccard are each built from integer counts that do not
+///   depend on argument order — so one cached value serves both orders
+///   and each user pair is computed once.
 ///
 /// Equivalence contract, enforced by tests and the parallel-determinism
 /// property suite: `eval.group(g)` is bit-for-bit identical to
@@ -300,8 +301,9 @@ pub struct SearchCellEval<'a, 'u> {
     measure: SearchMeasure,
     /// Per group: indices into `lists` of its members, in list order.
     members: Vec<Vec<u32>>,
-    /// Memoized `measure.distance(lists[i], lists[j])` keyed by `(i, j)`.
-    distances: std::collections::HashMap<(u32, u32), f64>,
+    /// Memoized `measure.distance(lists[i], lists[j])` for `i ≤ j`, at
+    /// slot `i * lists.len() + j`.
+    distances: Vec<Option<f64>>,
 }
 
 impl<'a, 'u> SearchCellEval<'a, 'u> {
@@ -319,7 +321,7 @@ impl<'a, 'u> SearchCellEval<'a, 'u> {
                     .collect()
             })
             .collect();
-        Self { ctx, lists, measure, members, distances: std::collections::HashMap::new() }
+        Self { ctx, lists, measure, members, distances: vec![None; lists.len() * lists.len()] }
     }
 
     /// `d⟨g,q,l⟩` for this cell — bit-identical to the reference.
@@ -339,8 +341,9 @@ impl<'a, 'u> SearchCellEval<'a, 'u> {
             let mut n = 0usize;
             for &ui in g_members {
                 for &vi in others {
-                    let d = *distances.entry((ui, vi)).or_insert_with(|| {
-                        measure.distance(&lists[ui as usize].results, &lists[vi as usize].results)
+                    let (i, j) = (ui.min(vi) as usize, ui.max(vi) as usize);
+                    let d = *distances[i * lists.len() + j].get_or_insert_with(|| {
+                        measure.distance(&lists[i].results, &lists[j].results)
                     });
                     sum += d;
                     n += 1;

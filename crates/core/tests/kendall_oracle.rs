@@ -2,12 +2,12 @@
 //! naïve O(n²) pairwise oracles.
 //!
 //! The production code earns its speed with two shortcuts — merge-sort
-//! inversion counting behind [`tau_distance`] and the case-analysis
-//! `pair_penalty` behind [`top_k_distance`] (including the case-4
-//! within-one-list term) — while [`tau_b`] leans on `total_cmp` for its
-//! tie handling. Each oracle below re-derives the same statistic straight
-//! from its textbook definition, one explicit pair at a time, so any
-//! disagreement is a bug in the shortcut, not in the spec.
+//! inversion counting behind [`tau_distance`] and the four integer case
+//! counts behind [`top_k_distance`] (including the case-4 within-one-list
+//! term) — while [`tau_b`] leans on `total_cmp` for its tie handling. Each
+//! oracle below re-derives the same statistic straight from its textbook
+//! definition, one explicit pair at a time, so any disagreement is a bug
+//! in the shortcut, not in the spec.
 
 use fbox_core::measures::kendall::{tau_b, tau_distance, top_k_distance};
 use proptest::prelude::*;
@@ -177,5 +177,20 @@ proptest! {
         let fast = top_k_distance(&a, &b, p);
         let naive = naive_top_k_distance(&a, &b, p);
         prop_assert!((fast - naive).abs() < 1e-12, "fast {fast} vs oracle {naive} at p={p}");
+    }
+
+    #[test]
+    fn top_k_distance_is_bit_exact_at_the_penalties_in_use(
+        a in subsequence((0u32..25).collect::<Vec<u32>>(), 0..12).prop_shuffle(),
+        b in subsequence((0u32..25).collect::<Vec<u32>>(), 0..12).prop_shuffle(),
+    ) {
+        // At p ∈ {0, ½, 1} every partial sum of the oracle's union-order
+        // loop is exact, so counting the cases cannot move a single bit:
+        // this is why cube values and repro output are unchanged by it.
+        for p in [0.0, 0.5, 1.0] {
+            let fast = top_k_distance(&a, &b, p);
+            let naive = naive_top_k_distance(&a, &b, p);
+            prop_assert_eq!(fast.to_bits(), naive.to_bits(), "fast {fast} vs oracle {naive} at p={p}");
+        }
     }
 }

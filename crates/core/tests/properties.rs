@@ -165,6 +165,29 @@ proptest! {
     }
 
     #[test]
+    fn kendall_top_k_is_bitwise_symmetric(
+        a in proptest::sample::subsequence((0u64..30).collect::<Vec<_>>(), 0..10).prop_shuffle(),
+        b in proptest::sample::subsequence((0u64..30).collect::<Vec<_>>(), 0..10).prop_shuffle(),
+        p in 0.0f64..=1.0,
+    ) {
+        // `SearchCellEval` caches one distance per unordered user pair;
+        // that is exact only if swapping the lists keeps every bit, at any p.
+        let d_ab = measures::kendall::top_k_distance(&a, &b, p);
+        let d_ba = measures::kendall::top_k_distance(&b, &a, p);
+        prop_assert_eq!(d_ab.to_bits(), d_ba.to_bits(), "d(a,b) {d_ab} vs d(b,a) {d_ba} at p={p}");
+    }
+
+    #[test]
+    fn jaccard_is_bitwise_symmetric(
+        a in proptest::collection::vec(0u64..20, 0..12),
+        b in proptest::collection::vec(0u64..20, 0..12),
+    ) {
+        let d_ab = measures::jaccard::distance(&a, &b);
+        let d_ba = measures::jaccard::distance(&b, &a);
+        prop_assert_eq!(d_ab.to_bits(), d_ba.to_bits(), "d(a,b) {d_ab} vs d(b,a) {d_ba}");
+    }
+
+    #[test]
     fn emd_metric_properties(
         va in proptest::collection::vec(0.0f64..=1.0, 1..20),
         vb in proptest::collection::vec(0.0f64..=1.0, 1..20),

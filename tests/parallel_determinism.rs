@@ -9,9 +9,11 @@
 use fbox::core::algo::{naive_top_k, nra_top_k, top_k, RankOrder, Restriction};
 use fbox::core::model::{GroupId, LocationId, QueryId};
 use fbox::core::observations::{MarketObservations, SearchObservations};
+use fbox::core::unfairness::{search_cell_unfairness, MeasureContext, SearchCellEval};
 use fbox::core::{IndexSet, UnfairnessCube};
 use fbox::marketplace::{crawl, BiasProfile, Marketplace, Population, ScoringModel};
 use fbox::par::with_threads;
+use fbox::repro::calibrate;
 use fbox::search::extension::ExtensionRunner;
 use fbox::search::noise::NoiseModel;
 use fbox::search::personalize::PersonalizationProfile;
@@ -92,6 +94,39 @@ fn search_build_is_bit_identical_across_thread_counts() {
                 reference.cube(),
                 parallel.cube(),
                 &format!("search {measure:?} FBOX_THREADS={threads}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn search_cell_eval_matches_reference_on_a_study_cell() {
+    // The repro study: three participants in each of the six full
+    // demographic groups, so every cell holds 18 lists and the 11 Google
+    // groups (genders, ethnicities, their crossings) overlap. The
+    // evaluator memoizes one distance per unordered user pair; each
+    // group must still get the reference's exact bits.
+    let engine = SearchEngine::new(
+        calibrate::google_personalization(),
+        NoiseModel::default(),
+        calibrate::SEED,
+    );
+    let design = StudyDesign { participants_per_group: 3, seed: calibrate::SEED };
+    let (universe, obs, _) = run_study(&design, &engine, &ExtensionRunner::default());
+    assert_eq!(universe.group_ids().count(), 11);
+    let ctx = MeasureContext::new(&universe);
+    let ((q, l), lists) = obs.cells().next().expect("the study fills every cell");
+    assert_eq!(lists.len(), 18, "cell ({q:?}, {l:?})");
+    for measure in [SearchMeasure::kendall(), SearchMeasure::JaccardDistance] {
+        let mut eval = SearchCellEval::new(&ctx, lists, measure);
+        for g in universe.group_ids() {
+            let fast = eval.group(g);
+            let reference = search_cell_unfairness(&universe, lists, g, measure);
+            assert!(reference.is_some(), "{measure:?} group {g:?}: every group is present");
+            assert_eq!(
+                fast.map(f64::to_bits),
+                reference.map(f64::to_bits),
+                "{measure:?} group {g:?} in cell ({q:?}, {l:?})"
             );
         }
     }

@@ -329,7 +329,8 @@ fn top_k_partial(
                     present += 1;
                 }
             }
-            let aggregate = sum / present as f64;
+            // `present` counts list `pi` itself, so the floor never binds.
+            let aggregate = sum / present.max(1) as f64;
 
             if heap.len() < k {
                 heap.push(key(aggregate, e));

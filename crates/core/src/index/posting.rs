@@ -98,10 +98,7 @@ impl PostingList {
     /// Sorted access in *ascending* unfairness order (for bottom-k /
     /// "least unfair" queries).
     pub fn sorted_asc(&self, cursor: usize) -> Option<(u32, f64)> {
-        if cursor >= self.entries.len() {
-            return None;
-        }
-        self.entries.get(self.entries.len() - 1 - cursor).copied()
+        self.entries.iter().rev().nth(cursor).copied()
     }
 
     /// Random access: entity `e`'s value, `None` if missing.

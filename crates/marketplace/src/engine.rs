@@ -3,7 +3,7 @@
 //! top 50 taskers per query, §5.1.1).
 
 use crate::bias::BiasProfile;
-use crate::demographics::Demographic;
+use crate::demographics::{Demographic, Ethnicity, Gender};
 use crate::jobs;
 use crate::population::Population;
 use crate::scoring::{mix, mix_str, ScoringModel};
@@ -68,7 +68,12 @@ impl Marketplace {
     /// Whether a worker serves a category (a deterministic per-worker
     /// sign-up decision).
     pub fn serves(&self, worker_id: u64, category: &str) -> bool {
-        let key = mix(mix_str(0x5E7_CA7, category), worker_id);
+        self.signed_up(signup_key(category), worker_id)
+    }
+
+    /// [`serves`](Self::serves) with the category's key already folded.
+    fn signed_up(&self, category_key: u64, worker_id: u64) -> bool {
+        let key = mix(category_key, worker_id);
         ((key >> 11) as f64 / (1u64 << 53) as f64) < self.category_coverage
     }
 
@@ -120,35 +125,8 @@ impl Marketplace {
     /// Returns `None` if the query is not offered in the city
     /// ([`jobs::offered`]).
     pub fn run_query(&self, query_idx: usize, city_idx: usize) -> Option<MarketRanking> {
-        if !jobs::offered(query_idx, city_idx) {
-            return None;
-        }
-        let (_, _, query_name) =
-            jobs::all_queries().nth(query_idx).expect("query index validated by jobs::offered");
-        let category = jobs::category_of(query_idx).name;
-        let location = crate::city::CITIES[city_idx].name;
-
-        let noise_seed = mix_str(mix_str(self.seed, query_name), location);
-        let mut scored: Vec<(usize, f64)> = self
-            .population
-            .in_city(city_idx)
-            .iter()
-            .filter(|&&wi| self.serves(self.population.workers()[wi].id, category))
-            .map(|&wi| {
-                let w = &self.population.workers()[wi];
-                let s =
-                    self.scoring.score(w, &self.bias, query_name, category, location, noise_seed);
-                (wi, s)
-            })
-            .collect();
-        // Sort by score desc; ties by worker id for determinism.
-        scored.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then(self.population.workers()[a.0].id.cmp(&self.population.workers()[b.0].id))
-        });
-        scored.truncate(self.page_size);
-
-        let workers = scored
+        let page = self.rank(query_idx, city_idx)?;
+        let workers = page
             .iter()
             .enumerate()
             .map(|(i, &(wi, _))| RankedWorker {
@@ -167,36 +145,65 @@ impl Marketplace {
         query_idx: usize,
         city_idx: usize,
     ) -> Option<Vec<(u64, f64)>> {
+        let page = self.rank(query_idx, city_idx)?;
+        let workers = self.population.workers();
+        Some(page.into_iter().map(|(wi, s)| (workers[wi].id, s)).collect())
+    }
+
+    /// The top page of one query as `(worker index, score)`, best first
+    /// (ties by worker id), or `None` if the query is not offered in the
+    /// city. Everything constant across the city's workers — the sign-up
+    /// key, the noise seed, and the bias penalty of each of the six
+    /// groups — is computed once per query.
+    fn rank(&self, query_idx: usize, city_idx: usize) -> Option<Vec<(usize, f64)>> {
         if !jobs::offered(query_idx, city_idx) {
             return None;
         }
-        let (_, _, query_name) = jobs::all_queries().nth(query_idx)?;
+        let (_, _, query_name) =
+            jobs::all_queries().nth(query_idx).expect("query index validated by jobs::offered");
         let category = jobs::category_of(query_idx).name;
         let location = crate::city::CITIES[city_idx].name;
+
+        let category_key = signup_key(category);
         let noise_seed = mix_str(mix_str(self.seed, query_name), location);
-        let mut scored: Vec<(u64, f64)> = self
+        let mut penalty = [[0.0f64; 3]; 2];
+        for gender in Gender::ALL {
+            for ethnicity in Ethnicity::ALL {
+                penalty[gender.value_id().0 as usize][ethnicity.value_id().0 as usize] = self
+                    .bias
+                    .penalty(Demographic { gender, ethnicity }, query_name, category, location);
+            }
+        }
+
+        let workers = self.population.workers();
+        let mut scored: Vec<(usize, f64)> = self
             .population
             .in_city(city_idx)
             .iter()
-            .filter(|&&wi| self.serves(self.population.workers()[wi].id, category))
+            .filter(|&&wi| self.signed_up(category_key, workers[wi].id))
             .map(|&wi| {
-                let w = &self.population.workers()[wi];
-                (
-                    w.id,
-                    self.scoring.score(w, &self.bias, query_name, category, location, noise_seed),
-                )
+                let w = &workers[wi];
+                let p = penalty[w.demographic.gender.value_id().0 as usize]
+                    [w.demographic.ethnicity.value_id().0 as usize];
+                (wi, self.scoring.score_with_penalty(w, p, noise_seed))
             })
             .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        // Sort by score desc; ties by worker id for determinism.
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(workers[a.0].id.cmp(&workers[b.0].id)));
         scored.truncate(self.page_size);
         Some(scored)
     }
 }
 
+/// The category's sign-up key: every worker's sign-up decision for the
+/// category derives from it.
+fn signup_key(category: &str) -> u64 {
+    mix_str(0x5E7_CA7, category)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demographics::{Ethnicity, Gender};
 
     fn marketplace(bias: BiasProfile) -> Marketplace {
         Marketplace::new(Population::paper(11), ScoringModel::default(), bias, 99)

@@ -84,8 +84,15 @@ impl ScoringModel {
         location: &str,
         noise_seed: u64,
     ) -> f64 {
-        let clean = self.clean_score(worker);
         let penalty = bias.penalty(worker.demographic, query, category, location);
+        self.score_with_penalty(worker, penalty, noise_seed)
+    }
+
+    /// [`score`](Self::score) with the worker's bias penalty already
+    /// resolved — the form a ranking uses, since the penalty depends only
+    /// on the worker's group within one query.
+    pub fn score_with_penalty(&self, worker: &Worker, penalty: f64, noise_seed: u64) -> f64 {
+        let clean = self.clean_score(worker);
         let noise = gaussian_noise(mix(noise_seed, worker.id)) * self.noise_sd;
         (clean - penalty + noise).clamp(0.0, 1.0)
     }

@@ -12,6 +12,15 @@
 //!
 //! and returns the top page. Every term is a pure function of the engine
 //! seed and the request, so studies replay exactly.
+//!
+//! Each term is computed once, at the outermost scope where it is
+//! constant: the engine folds the seed's key prefixes, a
+//! [`SearchSession`] (one user × query × location) holds the pool and the
+//! first three terms summed, [`TermScores`] add one formulation's
+//! shift, and [`SearchSession::attempt`] adds only the noise. The sum is
+//! still evaluated left to right, so every hoisted value is a prefix of
+//! the same f64 expression and pages are bit-identical to scoring each
+//! request from scratch.
 
 use crate::corpus::{PostingPool, RESULT_SIZE};
 use crate::hash::{mix, mix_str, signed};
@@ -29,18 +38,45 @@ const USER_TASTE: f64 = 0.02;
 /// similar to the original term").
 const FORMULATION_SHIFT: f64 = 0.03;
 
+/// The engine seed folded with each score term's label.
+#[derive(Debug, Clone, Copy)]
+struct TermKeys {
+    group_affinity: u64,
+    user_taste: u64,
+    formulation: u64,
+    carryover: u64,
+    ab: u64,
+    ab_direction: u64,
+    geo: u64,
+}
+
+impl TermKeys {
+    fn new(seed: u64) -> Self {
+        Self {
+            group_affinity: mix_str(seed, "group-affinity"),
+            user_taste: mix_str(seed, "user-taste"),
+            formulation: mix_str(seed, "formulation"),
+            carryover: mix_str(seed, "carryover"),
+            ab: mix_str(seed, "ab"),
+            ab_direction: mix_str(seed, "ab-direction"),
+            geo: mix_str(seed, "geo"),
+        }
+    }
+}
+
 /// A simulated job-search engine.
 #[derive(Debug, Clone)]
 pub struct SearchEngine {
     personalization: PersonalizationProfile,
     noise: NoiseModel,
     seed: u64,
+    keys: TermKeys,
 }
 
 impl SearchEngine {
     /// Assembles an engine.
     pub fn new(personalization: PersonalizationProfile, noise: NoiseModel, seed: u64) -> Self {
-        Self { personalization, noise, seed }
+        Self { personalization, noise, seed, keys: TermKeys::new(seed) }
     }
 
     /// The personalization profile in force.
@@ -51,6 +87,37 @@ impl SearchEngine {
     /// The noise model in force.
     pub fn noise(&self) -> &NoiseModel {
         &self.noise
+    }
+
+    /// Opens a session: everything about `user`'s searches for `query`
+    /// (in `category`) at `location` that no search term or request
+    /// changes.
+    pub fn session(
+        &self,
+        user: &SearchUser,
+        query: &str,
+        category: &str,
+        location: &str,
+    ) -> SearchSession<'_> {
+        let pool = PostingPool::new(self.seed, query, location);
+        let strength = self.personalization.strength(user.demographic, query, category, location);
+        // Group affinity direction: shared by all members of the user's
+        // full demographic group.
+        let group_key = mix(
+            self.keys.group_affinity,
+            (user.demographic.gender.value_id().0 as u64) << 8
+                | user.demographic.ethnicity.value_id().0 as u64,
+        );
+        let user_key = mix(self.keys.user_taste, user.id);
+        let partial = (0..pool.len())
+            .map(|i| {
+                let id = pool.ids()[i];
+                pool.base(i)
+                    + strength * signed(mix(group_key, id))
+                    + USER_TASTE * signed(mix(user_key, id))
+            })
+            .collect();
+        SearchSession { engine: self, user_id: user.id, pool, partial }
     }
 
     /// Executes one search request and returns the ranked posting ids
@@ -69,66 +136,127 @@ impl SearchEngine {
         location: &str,
         ctx: &RequestContext,
     ) -> Vec<u64> {
-        let pool = PostingPool::new(self.seed, query, location);
-        let strength = self.personalization.strength(user.demographic, query, category, location);
-        // Group affinity direction: shared by all members of the user's
-        // full demographic group.
-        let group_key = mix(
-            mix_str(self.seed, "group-affinity"),
-            (user.demographic.gender.value_id().0 as u64) << 8
-                | user.demographic.ethnicity.value_id().0 as u64,
-        );
-        let user_key = mix(mix_str(self.seed, "user-taste"), user.id);
-        let formulation_key = mix_str(mix_str(self.seed, "formulation"), formulation);
+        let session = self.session(user, query, category, location);
+        let term = session.term(formulation);
+        let previous = ctx.previous.as_ref().map(|(prev, t)| (session.carryover_key(prev), *t));
+        session.attempt(&term, ctx.time_min, previous, ctx.proxied)
+    }
+}
 
-        // Noise keys.
-        let carry = match ctx.minutes_since_previous() {
-            Some(dt) => {
-                let (prev, _) = ctx.previous.as_ref().expect("previous present");
-                let key = mix(mix_str(mix_str(self.seed, "carryover"), prev), user.id);
-                Some((self.noise.carryover_at(dt), key))
-            }
-            None => None,
-        };
-        let ab_bucket = if self.noise.ab_buckets > 1 {
-            mix(
-                mix_str(self.seed, "ab"),
-                user.id ^ fbox_core::measures::float::floor_units(ctx.time_min),
-            ) % self.noise.ab_buckets
+/// One user's searches for one query at one location: the posting pool
+/// and, per posting, `base + strength · group affinity + USER_TASTE ·
+/// user affinity`.
+#[derive(Debug, Clone)]
+pub struct SearchSession<'e> {
+    engine: &'e SearchEngine,
+    user_id: u64,
+    pool: PostingPool,
+    partial: Vec<f64>,
+}
+
+/// One search term's scores within a session: the session's partial
+/// sums plus the term's formulation shift.
+#[derive(Debug, Clone)]
+pub struct TermScores(Vec<f64>);
+
+impl SearchSession<'_> {
+    /// Adds the formulation shift of the search term `formulation`.
+    pub fn term(&self, formulation: &str) -> TermScores {
+        let formulation_key = mix_str(self.engine.keys.formulation, formulation);
+        TermScores(
+            self.partial
+                .iter()
+                .zip(self.pool.ids())
+                .map(|(&s, &id)| s + FORMULATION_SHIFT * signed(mix(formulation_key, id)))
+                .collect(),
+        )
+    }
+
+    /// The key a previously run search term's carry-over perturbs later
+    /// requests with ([`attempt`](Self::attempt)'s `previous`).
+    pub fn carryover_key(&self, previous_term: &str) -> u64 {
+        mix(mix_str(self.engine.keys.carryover, previous_term), self.user_id)
+    }
+
+    /// Runs `term` once at minute `time_min` and returns the page.
+    /// `previous` is the carry-over key and minute of the request before
+    /// it, if any; `proxied` pins the request's origin (no geolocation
+    /// noise).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the previous request is later than `time_min`.
+    pub fn attempt(
+        &self,
+        term: &TermScores,
+        time_min: f64,
+        previous: Option<(u64, f64)>,
+        proxied: bool,
+    ) -> Vec<u64> {
+        let mut scored = self.scores(term, time_min, previous, proxied);
+        // Best first, ties by id: a total order over unique ids, so
+        // selecting the page before sorting it yields the full sort's
+        // prefix.
+        let best_first = |a: &(u64, f64), b: &(u64, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if scored.len() > RESULT_SIZE {
+            scored.select_nth_unstable_by(RESULT_SIZE, best_first);
+            scored.truncate(RESULT_SIZE);
+        }
+        scored.sort_unstable_by(best_first);
+        scored.into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// Every pool posting's `(id, score)` for one request, in pool order:
+    /// `term`'s scores plus the request's carry-over, A/B and
+    /// geolocation noise. [`attempt`](Self::attempt) returns the top
+    /// page of these; the same arguments and panics apply.
+    pub fn scores(
+        &self,
+        term: &TermScores,
+        time_min: f64,
+        previous: Option<(u64, f64)>,
+        proxied: bool,
+    ) -> Vec<(u64, f64)> {
+        let noise = &self.engine.noise;
+        let keys = &self.engine.keys;
+        let carry = previous.map(|(key, t)| {
+            let dt = time_min - t;
+            assert!(dt >= 0.0, "previous query cannot be in the future");
+            (noise.carryover_at(dt), key)
+        });
+        let ab_bucket = if noise.ab_buckets > 1 {
+            mix(keys.ab, self.user_id ^ fbox_core::measures::float::floor_units(time_min))
+                % noise.ab_buckets
         } else {
             0
         };
-        let ab_key = mix(mix_str(self.seed, "ab-direction"), ab_bucket);
-        let geo_key = (!ctx.proxied).then(|| {
-            let secs = ctx.time_min * 60.0;
+        let ab_key = mix(keys.ab_direction, ab_bucket);
+        let geo_key = (!proxied).then(|| {
+            let secs = time_min * 60.0;
             // Session timestamps are finite and non-negative; the guard
             // pins that invariant at the conversion.
             let secs = if secs.is_finite() && secs >= 0.0 { secs } else { 0.0 };
-            mix(mix_str(self.seed, "geo"), secs as u64 ^ user.id)
+            mix(keys.geo, secs as u64 ^ self.user_id)
         });
 
-        let mut scored: Vec<(u64, f64)> = (0..pool.len())
-            .map(|i| {
-                let id = pool.ids()[i];
-                let mut s = pool.base(i)
-                    + strength * signed(mix(group_key, id))
-                    + USER_TASTE * signed(mix(user_key, id))
-                    + FORMULATION_SHIFT * signed(mix(formulation_key, id));
+        self.pool
+            .ids()
+            .iter()
+            .zip(&term.0)
+            .map(|(&id, &s)| {
+                let mut s = s;
                 if let Some((mag, key)) = carry {
                     s += mag * signed(mix(key, id));
                 }
                 if ab_bucket != 0 {
-                    s += self.noise.ab_strength * signed(mix(ab_key, id));
+                    s += noise.ab_strength * signed(mix(ab_key, id));
                 }
                 if let Some(g) = geo_key {
-                    s += self.noise.geo_strength * signed(mix(g, id));
+                    s += noise.geo_strength * signed(mix(g, id));
                 }
                 (id, s)
             })
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(RESULT_SIZE);
-        scored.into_iter().map(|(id, _)| id).collect()
+            .collect()
     }
 }
 

@@ -10,7 +10,6 @@
 //! measured (see the crate's tests and the noise-ablation bench).
 
 use crate::engine::SearchEngine;
-use crate::noise::RequestContext;
 use crate::terms::{formulations, N_FORMULATIONS};
 use crate::user::SearchUser;
 use fbox_core::observations::UserList;
@@ -60,30 +59,29 @@ impl ExtensionRunner {
         location: &str,
         start_min: f64,
     ) -> (UserList, f64) {
+        let session = engine.session(user, query, category, location);
         let mut time = start_min;
-        let mut previous: Option<(String, f64)> = None;
+        // The previous request's carry-over key and minute.
+        let mut previous: Option<(u64, f64)> = None;
         let mut resolved: Vec<Vec<u64>> = Vec::with_capacity(N_FORMULATIONS);
 
         for term in formulations(query, location) {
+            let scores = session.term(&term);
+            let carryover_key = session.carryover_key(&term);
             let mut runs: Vec<Vec<u64>> = Vec::with_capacity(self.repeats);
             let total_runs = self.repeats + self.max_extra_runs;
             for attempt in 0..total_runs {
-                let ctx = RequestContext {
-                    time_min: time,
-                    previous: previous.clone(),
-                    proxied: self.proxied,
-                };
-                let list = engine.search(user, query, &term, category, location, &ctx);
-                previous = Some((term.clone(), time));
+                runs.push(session.attempt(&scores, time, previous, self.proxied));
+                previous = Some((carryover_key, time));
                 time += self.spacing_min;
-                runs.push(list);
                 // Stop early once we have the mandated repeats and a
                 // majority list.
                 if attempt + 1 >= self.repeats && majority(&runs).is_some() {
                     break;
                 }
             }
-            resolved.push(majority(&runs).unwrap_or_else(|| runs[0].clone()));
+            let pick = majority(&runs).unwrap_or(0);
+            resolved.push(runs.swap_remove(pick));
         }
 
         let merged = borda_merge(&resolved);
@@ -91,22 +89,14 @@ impl ExtensionRunner {
     }
 }
 
-/// The list occurring strictly more often than any other, if any.
-fn majority(runs: &[Vec<u64>]) -> Option<Vec<u64>> {
-    if runs.len() == 1 {
-        return Some(runs[0].clone());
-    }
-    let mut counts: BTreeMap<&[u64], usize> = BTreeMap::new();
-    for r in runs {
-        *counts.entry(r.as_slice()).or_default() += 1;
-    }
-    let (best, n) = counts
-        .iter()
-        .max_by_key(|&(list, n)| (*n, std::cmp::Reverse(list.to_vec())))
-        .map(|(l, n)| (l.to_vec(), *n))?;
-    let runner_up =
-        counts.iter().filter(|(l, _)| **l != best.as_slice()).map(|(_, n)| *n).max().unwrap_or(0);
-    (n > runner_up).then_some(best)
+/// The index of a list occurring strictly more often than any other, if
+/// any. Counts by pairwise comparison: the protocol makes at most
+/// `repeats + max_extra_runs` (here ≤ 4) runs per term.
+fn majority(runs: &[Vec<u64>]) -> Option<usize> {
+    let count = |i: usize| runs.iter().filter(|r| **r == runs[i]).count();
+    let best = (0..runs.len()).max_by_key(|&i| count(i))?;
+    let n = count(best);
+    (0..runs.len()).all(|i| runs[i] == runs[best] || count(i) < n).then_some(best)
 }
 
 /// Borda rank-merge: each list awards `len − position` points to its
@@ -157,13 +147,39 @@ mod tests {
         assert_eq!(merged[1], 2);
     }
 
+    /// The majority list itself, for readable assertions.
+    fn majority_list(runs: &[Vec<u64>]) -> Option<&Vec<u64>> {
+        majority(runs).map(|i| &runs[i])
+    }
+
     #[test]
     fn majority_detection() {
         let a = vec![1u64, 2];
         let b = vec![2u64, 1];
-        assert_eq!(majority(&[a.clone(), a.clone(), b.clone()]), Some(a.clone()));
-        assert_eq!(majority(&[a.clone(), b.clone()]), None);
-        assert_eq!(majority(std::slice::from_ref(&a)), Some(a));
+        assert_eq!(majority_list(&[a.clone(), a.clone(), b.clone()]), Some(&a));
+        assert_eq!(majority_list(&[b.clone(), a.clone(), a.clone()]), Some(&a));
+        assert_eq!(majority_list(&[a.clone(), b.clone()]), None);
+        assert_eq!(majority_list(&[]), None);
+    }
+
+    #[test]
+    fn majority_two_two_tie_is_none() {
+        let a = vec![1u64, 2];
+        let b = vec![2u64, 1];
+        assert_eq!(majority_list(&[a.clone(), b.clone(), b.clone(), a.clone()]), None);
+    }
+
+    #[test]
+    fn majority_three_one_split_picks_the_three() {
+        let a = vec![1u64, 2];
+        let b = vec![2u64, 1];
+        assert_eq!(majority_list(&[b.clone(), a.clone(), b.clone(), b.clone()]), Some(&b));
+    }
+
+    #[test]
+    fn majority_single_run_returns_itself() {
+        let a = vec![3u64, 1, 4];
+        assert_eq!(majority(std::slice::from_ref(&a)), Some(0));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Benchmarks of the per-cell unfairness computations behind the worked
-//! examples (Figures 1–5): one search cell under Kendall/Jaccard and one
-//! marketplace cell under EMD/exposure, at crawl-realistic sizes.
+//! Benchmarks of the per-`(cell, group)` reference definitions behind the
+//! worked examples (Figures 1–5, `unfairness::reference`): one search
+//! cell under Kendall/Jaccard and one marketplace cell under
+//! EMD/exposure, at crawl-realistic sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fbox_core::model::{Schema, Universe, ValueId};
 use fbox_core::observations::{MarketRanking, RankedWorker, UserList};
-use fbox_core::unfairness::{
-    market_cell_unfairness, search_cell_unfairness, MarketMeasure, SearchMeasure,
-};
+use fbox_core::unfairness::reference::{market_cell_unfairness, search_cell_unfairness};
+use fbox_core::unfairness::{MarketMeasure, SearchMeasure};
 use std::hint::black_box;
 
 fn market_fixture() -> (Universe, MarketRanking) {

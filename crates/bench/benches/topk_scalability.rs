@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbox_bench::synthetic_cube;
-use fbox_core::algo::{naive_top_k, nra_top_k, top_k, RankOrder, Restriction};
+use fbox_core::algo::{naive_top_k, top_k, RankOrder, Restriction};
 use fbox_core::index::{Dimension, IndexSet};
 use std::hint::black_box;
 
@@ -21,17 +21,6 @@ fn bench_group_dimension(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("ta_k{k}"), n_groups), &k, |b, &k| {
                 b.iter(|| {
                     top_k(
-                        black_box(&indices),
-                        Dimension::Group,
-                        k,
-                        RankOrder::MostUnfair,
-                        &Restriction::none(),
-                    )
-                })
-            });
-            group.bench_with_input(BenchmarkId::new(format!("nra_k{k}"), n_groups), &k, |b, &k| {
-                b.iter(|| {
-                    nra_top_k(
                         black_box(&indices),
                         Dimension::Group,
                         k,

@@ -7,6 +7,7 @@
 use std::hint::black_box;
 
 use fbox_core::observations::{MarketObservations, SearchObservations};
+use fbox_core::unfairness::reference;
 use fbox_core::{FBox, MarketMeasure, SearchMeasure, Universe};
 use fbox_marketplace::{
     crawl, crawl_resilient, BiasProfile, CrawlJournal, Marketplace, Population, ScoringModel,
@@ -100,7 +101,8 @@ pub struct MitigateOutcome {
 pub struct StoreOutcome {
     /// The suite's metrics (`store.*`).
     pub snapshot: Snapshot,
-    /// Mean full `FBox::from_market` rebuild time, milliseconds.
+    /// Mean full serial rebuild time (`reference::market_cube` plus the
+    /// index build), milliseconds.
     pub rebuild_ms: f64,
     /// Mean time to delta-update [`DIRTY_BATCH`] cells of a fully
     /// populated store, milliseconds.
@@ -138,10 +140,10 @@ fn mean_ns(h: &fbox_telemetry::Histogram) -> f64 {
 }
 
 /// Serial vs parallel cube construction (`FBox::from_*` against
-/// `FBox::from_*_serial`). The parallel path wins twice: cells are fanned
-/// out across workers, and each worker evaluates all groups of a cell
-/// through the shared-work evaluators instead of recomputing per
-/// `(cell, group)` call.
+/// `reference::*_cube` plus the same index build). The parallel path wins
+/// twice: cells are fanned out across workers, and each worker evaluates
+/// all groups of a cell through the shared-work evaluators instead of
+/// recomputing per `(cell, group)` call.
 pub fn parallel_suite() -> ParallelOutcome {
     let registry = fbox_telemetry::Registry::new();
     let serial = registry.histogram("cube.build.serial");
@@ -151,23 +153,23 @@ pub fn parallel_suite() -> ParallelOutcome {
     let (search_universe, search_obs) = search_fixture();
 
     // Warm-up: touch both paths once so allocator and caches settle.
-    black_box(FBox::from_market_serial(market_universe.clone(), &market_obs, MarketMeasure::emd()));
+    let serial_market = || {
+        let cube = reference::market_cube(&market_universe, &market_obs, MarketMeasure::emd());
+        FBox::from_cube(market_universe.clone(), cube)
+    };
+    let serial_search = || {
+        let cube = reference::search_cube(&search_universe, &search_obs, SearchMeasure::kendall());
+        FBox::from_cube(search_universe.clone(), cube)
+    };
+    black_box(serial_market());
     black_box(with_threads(THREADS, || {
         FBox::from_market(market_universe.clone(), &market_obs, MarketMeasure::emd())
     }));
 
     for _ in 0..ITERATIONS {
         let t = serial.timer();
-        black_box(FBox::from_market_serial(
-            market_universe.clone(),
-            &market_obs,
-            MarketMeasure::emd(),
-        ));
-        black_box(FBox::from_search_serial(
-            search_universe.clone(),
-            &search_obs,
-            SearchMeasure::kendall(),
-        ));
+        black_box(serial_market());
+        black_box(serial_search());
         t.observe();
 
         let t = parallel.timer();
@@ -438,9 +440,8 @@ pub fn store_suite() -> StoreOutcome {
     std::fs::create_dir_all(&dir).expect("bench temp dir");
     let snap_path = dir.join("suite.fbxs");
     {
-        let fb = FBox::from_market_serial(universe.clone(), &obs, measure);
         let mut snap = CubeSnapshot::new(universe.clone());
-        snap.insert_cube("market:exposure", fb.cube().clone());
+        snap.insert_cube("market:exposure", reference::market_cube(&universe, &obs, measure));
         snap.save(&snap_path).expect("snapshot saved");
     }
     let log_path = dir.join("suite.fbxlog");
@@ -455,13 +456,15 @@ pub fn store_suite() -> StoreOutcome {
     };
 
     // Warm-up: touch every timed path once.
-    black_box(FBox::from_market_serial(universe.clone(), &obs, measure));
+    let rebuild =
+        || FBox::from_cube(universe.clone(), reference::market_cube(&universe, &obs, measure));
+    black_box(rebuild());
     black_box(CubeSnapshot::load(&snap_path).expect("snapshot loaded"));
     black_box(SegmentLog::open(&log_path).expect("log opened"));
 
     for _ in 0..ITERATIONS {
         let t = rebuild_h.timer();
-        black_box(FBox::from_market_serial(universe.clone(), &obs, measure));
+        black_box(rebuild());
         t.observe();
 
         let t = quarter_h.timer();

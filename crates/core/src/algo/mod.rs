@@ -2,20 +2,17 @@
 //!
 //! - [`topk`]: the Fagin-Threshold-Algorithm adaptation of Algorithm 1
 //!   solving **Problem 1 (Fairness Quantification)** for any dimension;
-//! - [`nra`]: the No-Random-Access variant (Fagin et al.'s second
-//!   algorithm) for streamed or random-access-hostile indices;
-//! - [`naive`]: the full-scan baseline both are benchmarked against;
+//! - [`naive`]: the full-scan baseline and oracle it is benchmarked and
+//!   tested against;
 //! - [`compare`]: Algorithms 2–3 solving **Problem 2 (Fairness
 //!   Comparison)**.
 
 pub mod compare;
 pub mod naive;
-pub mod nra;
 pub mod topk;
 
 pub use compare::{compare, compare_sets, BreakdownRow, ComparisonOutcome, Entity};
 pub use naive::naive_top_k;
-pub use nra::nra_top_k;
 pub use topk::{top_k, RankOrder, TopKResult, TopKStats};
 
 use crate::index::Dimension;
@@ -135,7 +132,7 @@ mod tests {
     /// Regression: duplicated ids in a restriction used to enter the same
     /// posting lists twice into the aggregation, skewing every algorithm's
     /// averages. A duplicated restriction must yield exactly the deduped
-    /// restriction's answers — for TA, NRA, and the naive scan alike.
+    /// restriction's answers — for TA and the naive scan alike.
     #[test]
     fn duplicated_restriction_matches_deduped_across_algorithms() {
         use crate::cube::UnfairnessCube;
@@ -160,9 +157,8 @@ mod tests {
         let dedup = Restriction { queries: Some(vec![2, 0]), ..Restriction::none() };
         type Run<'a> = Box<dyn Fn(&Restriction) -> TopKResult + 'a>;
         for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
-            let runs: [(&str, Run); 3] = [
+            let runs: [(&str, Run); 2] = [
                 ("ta", Box::new(|r| top_k(&idx, Dimension::Group, 4, order, r))),
-                ("nra", Box::new(|r| nra_top_k(&idx, Dimension::Group, 4, order, r))),
                 ("naive", Box::new(|r| naive_top_k(&c, Dimension::Group, 4, order, r))),
             ];
             for (name, run) in runs {

@@ -10,11 +10,8 @@ use crate::algo::{self, RankOrder, Restriction, TopKResult};
 use crate::cube::UnfairnessCube;
 use crate::index::{Dimension, IndexSet};
 use crate::model::{GroupId, LocationId, QueryId, Universe};
-use crate::observations::{MarketObservations, MarketRanking, SearchObservations, UserList};
-use crate::unfairness::{
-    market_cell_unfairness, search_cell_unfairness, MarketCellEval, MarketMeasure, MeasureContext,
-    SearchCellEval, SearchMeasure,
-};
+use crate::observations::{MarketObservations, SearchObservations};
+use crate::unfairness::{CellEval, CellMeasure, MarketMeasure, MeasureContext, SearchMeasure};
 
 /// The assembled fairness framework for one study.
 #[derive(Debug, Clone)]
@@ -32,10 +29,11 @@ impl FBox {
     /// The `(q, l)` cells are partitioned across [`fbox_par`] workers
     /// (`FBOX_THREADS`, default: available parallelism); each worker
     /// evaluates all groups of its cells through a shared-work
-    /// [`SearchCellEval`] and the per-worker shards are merged in
-    /// deterministic cell order, so the cube is byte-identical to
-    /// [`from_search_serial`](Self::from_search_serial) at any thread
-    /// count.
+    /// [`SearchCellEval`](crate::unfairness::SearchCellEval) and the
+    /// per-worker shards are merged in deterministic cell order, so the
+    /// cube is byte-identical to
+    /// [`reference::search_cube`](crate::unfairness::reference::search_cube)
+    /// at any thread count.
     pub fn from_search(
         universe: Universe,
         observations: &SearchObservations,
@@ -43,62 +41,17 @@ impl FBox {
     ) -> Self {
         let _span = fbox_telemetry::span!("fbox.from_search");
         let _trace = fbox_trace::span("fbox.from_search");
-        // Telemetry is armed once, before the fan-out, and shared by
-        // reference: a `FBOX_TELEMETRY` toggle mid-build cannot leave some
-        // shards counted and others not.
-        let cells = CellTelemetry::new("search", measure.label());
-        let mut cell_data: Vec<((QueryId, LocationId), &[UserList])> =
-            observations.cells().collect();
-        cell_data.sort_unstable_by_key(|&((q, l), _)| (q.0, l.0));
-        let cube = {
-            let ctx = MeasureContext::new(&universe);
-            let shards = fbox_par::par_map(&cell_data, |&((q, l), lists)| {
-                let _cell = cell_span(q, l, "search", measure.label());
-                let mut eval = SearchCellEval::new(&ctx, lists, measure);
-                evaluate_cell_groups(&ctx, &cells, |g| eval.group(g))
-            });
-            merge_shards(&universe, &cell_data, shards)
-        };
-        cells.finish_cube(&cube);
-        Self::from_cube(universe, cube)
-    }
-
-    /// Reference implementation of [`from_search`](Self::from_search): the
-    /// serial per-`(cell, group)` double loop over
-    /// [`search_cell_unfairness`], with no cross-group work sharing. Kept
-    /// as the correctness oracle the parallel build is tested bit-for-bit
-    /// against, and as the baseline of `fbox-bench`'s `BENCH_parallel`
-    /// comparison.
-    pub fn from_search_serial(
-        universe: Universe,
-        observations: &SearchObservations,
-        measure: SearchMeasure,
-    ) -> Self {
-        let _span = fbox_telemetry::span!("fbox.from_search");
-        let _trace = fbox_trace::span("fbox.from_search");
-        let cells = CellTelemetry::new("search", measure.label());
-        let mut cube = UnfairnessCube::empty(&universe);
-        for ((q, l), lists) in observations.cells() {
-            let _cell = cell_span(q, l, "search", measure.label());
-            for g in universe.group_ids() {
-                let start = cells.start();
-                let v = search_cell_unfairness(&universe, lists, g, measure);
-                cells.finish(start, v.is_some());
-                cube.set_opt(g, q, l, v);
-            }
-        }
-        cells.finish_cube(&cube);
-        Self::from_cube(universe, cube)
+        Self::build(universe, observations.cells().collect(), measure)
     }
 
     /// Builds the F-Box from marketplace observations (TaskRabbit-style:
     /// ranked workers), computing `d⟨g,q,l⟩` by Eq. 2 (EMD) or §3.3.2
     /// (exposure) for every registered group at every observed cell.
     ///
-    /// Parallel like [`from_search`](Self::from_search): cells are
-    /// sharded across `FBOX_THREADS` workers (each using a shared-work
-    /// [`MarketCellEval`]) and merged deterministically, byte-identical
-    /// to [`from_market_serial`](Self::from_market_serial).
+    /// Parallel like [`from_search`](Self::from_search), through the
+    /// shared-work [`MarketCellEval`](crate::unfairness::MarketCellEval),
+    /// and byte-identical to
+    /// [`reference::market_cube`](crate::unfairness::reference::market_cube).
     pub fn from_market(
         universe: Universe,
         observations: &MarketObservations,
@@ -106,44 +59,30 @@ impl FBox {
     ) -> Self {
         let _span = fbox_telemetry::span!("fbox.from_market");
         let _trace = fbox_trace::span("fbox.from_market");
-        let cells = CellTelemetry::new("market", measure.label());
-        let mut cell_data: Vec<((QueryId, LocationId), &MarketRanking)> =
-            observations.cells().collect();
+        Self::build(universe, observations.cells().collect(), measure)
+    }
+
+    /// The batch build behind [`from_search`](Self::from_search) and
+    /// [`from_market`](Self::from_market): cells sorted into grid order,
+    /// fanned out across workers through [`evaluate_cell`], and merged.
+    fn build<M: CellMeasure>(
+        universe: Universe,
+        mut cell_data: Vec<((QueryId, LocationId), &M::Cell)>,
+        measure: M,
+    ) -> Self {
+        // Telemetry is armed once, before the fan-out, and shared by
+        // reference: a `FBOX_TELEMETRY` toggle mid-build cannot leave some
+        // shards counted and others not.
+        let telemetry = CellTelemetry::new(M::PLATFORM, measure.label());
         cell_data.sort_unstable_by_key(|&((q, l), _)| (q.0, l.0));
         let cube = {
             let ctx = MeasureContext::new(&universe);
-            let shards = fbox_par::par_map(&cell_data, |&((q, l), ranking)| {
-                let _cell = cell_span(q, l, "market", measure.label());
-                let mut eval = MarketCellEval::new(&ctx, ranking, measure);
-                evaluate_cell_groups(&ctx, &cells, |g| eval.group(g))
+            let shards = fbox_par::par_map(&cell_data, |&((q, l), cell)| {
+                evaluate_cell(&ctx, &telemetry, q, l, Some(cell), measure)
             });
             merge_shards(&universe, &cell_data, shards)
         };
-        cells.finish_cube(&cube);
-        Self::from_cube(universe, cube)
-    }
-
-    /// Reference implementation of [`from_market`](Self::from_market) —
-    /// see [`from_search_serial`](Self::from_search_serial).
-    pub fn from_market_serial(
-        universe: Universe,
-        observations: &MarketObservations,
-        measure: MarketMeasure,
-    ) -> Self {
-        let _span = fbox_telemetry::span!("fbox.from_market");
-        let _trace = fbox_trace::span("fbox.from_market");
-        let cells = CellTelemetry::new("market", measure.label());
-        let mut cube = UnfairnessCube::empty(&universe);
-        for ((q, l), ranking) in observations.cells() {
-            let _cell = cell_span(q, l, "market", measure.label());
-            for g in universe.group_ids() {
-                let start = cells.start();
-                let v = market_cell_unfairness(&universe, ranking, g, measure);
-                cells.finish(start, v.is_some());
-                cube.set_opt(g, q, l, v);
-            }
-        }
-        cells.finish_cube(&cube);
+        telemetry.finish_cube(&cube);
         Self::from_cube(universe, cube)
     }
 
@@ -167,57 +106,35 @@ impl FBox {
 
     /// An F-Box over an empty cube: the starting point of incremental
     /// ingestion (`fbox-store`), where cells arrive one at a time through
-    /// [`update_market_cell`](Self::update_market_cell) /
-    /// [`update_search_cell`](Self::update_search_cell).
+    /// [`update_cell`](Self::update_cell).
     pub fn empty(universe: Universe) -> Self {
         let cube = UnfairnessCube::empty(&universe);
         Self::from_cube(universe, cube)
     }
 
-    /// Re-derives cell `(q, l)` from a marketplace ranking (or clears it
-    /// with `None`) and delta-updates the affected cube slots and index
-    /// entries in place.
+    /// Re-derives cell `(q, l)` from its observations — a marketplace
+    /// ranking or search-engine user lists — or clears it with `None`,
+    /// and delta-updates the affected cube slots and index entries in
+    /// place. An empty list slice also clears a search cell.
     ///
     /// This is the incremental counterpart of
-    /// [`from_market`](Self::from_market): because each cell's measures
+    /// [`from_market`](Self::from_market) / [`from_search`](Self::from_search)
+    /// and runs the same per-cell routine: because each cell's measures
     /// depend only on that cell's observations, and
     /// [`IndexSet::update_cell`] reproduces the total list order exactly,
     /// streaming cells through this method yields an F-Box bit-identical
     /// to a from-scratch build over the same observations — in any arrival
     /// order, at any `FBOX_THREADS`.
-    pub fn update_market_cell(
+    pub fn update_cell<M: CellMeasure>(
         &mut self,
         q: QueryId,
         l: LocationId,
-        ranking: Option<&MarketRanking>,
-        measure: MarketMeasure,
+        cell: Option<&M::Cell>,
+        measure: M,
     ) {
-        let _cell = cell_span(q, l, "market", measure.label());
-        for g in self.universe.group_ids() {
-            let v = ranking.and_then(|r| market_cell_unfairness(&self.universe, r, g, measure));
-            self.cube.set_opt(g, q, l, v);
-        }
-        self.indices.update_cell(&self.cube, q, l);
-    }
-
-    /// Re-derives cell `(q, l)` from search-engine user lists (an empty
-    /// slice clears it) and delta-updates cube and indices in place — the
-    /// incremental counterpart of [`from_search`](Self::from_search); see
-    /// [`update_market_cell`](Self::update_market_cell).
-    pub fn update_search_cell(
-        &mut self,
-        q: QueryId,
-        l: LocationId,
-        lists: &[UserList],
-        measure: SearchMeasure,
-    ) {
-        let _cell = cell_span(q, l, "search", measure.label());
-        for g in self.universe.group_ids() {
-            let v = if lists.is_empty() {
-                None
-            } else {
-                search_cell_unfairness(&self.universe, lists, g, measure)
-            };
+        let ctx = MeasureContext::new(&self.universe);
+        let values = evaluate_cell(&ctx, &CellTelemetry::OFF, q, l, cell, measure);
+        for (g, v) in self.universe.group_ids().zip(values) {
             self.cube.set_opt(g, q, l, v);
         }
         self.indices.update_cell(&self.cube, q, l);
@@ -244,11 +161,11 @@ impl FBox {
     }
 
     /// Problem 1 over any dimension. Uses the threshold algorithm when the
-    /// cube is complete and the naive scan otherwise. (The TA and NRA both
-    /// handle incomplete cubes directly these days with subset-average
-    /// bounds; the naive scan is kept here because on the sparse tail of a
-    /// degraded cube its single pass is the cheaper plan, and it pins this
-    /// method's historical output bytes.)
+    /// cube is complete and the naive scan otherwise. (The TA handles
+    /// incomplete cubes directly with subset-average bounds; the naive scan
+    /// is kept here because on the sparse tail of a degraded cube its
+    /// single pass is the cheaper plan, and it pins this method's
+    /// historical output bytes.)
     pub fn top_k(
         &self,
         dim: Dimension,
@@ -348,20 +265,30 @@ fn cell_span(
     })
 }
 
-/// Evaluates every group of one `(q, l)` cell through a shared-work
-/// evaluator, with per-group telemetry, returning the cell's values in
-/// group-id order. Runs inside a [`fbox_par`] worker.
-fn evaluate_cell_groups(
+/// The one per-cell routine of the batch build and of
+/// [`FBox::update_cell`]: opens the cell's trace span and evaluates every
+/// group through the measure's shared-work evaluator, with per-group
+/// telemetry, returning the cell's values in group-id order (all `None`
+/// for a cleared cell). Runs inside a [`fbox_par`] worker during builds.
+fn evaluate_cell<M: CellMeasure>(
     ctx: &MeasureContext<'_>,
-    cells: &CellTelemetry,
-    mut eval_group: impl FnMut(GroupId) -> Option<f64>,
+    telemetry: &CellTelemetry,
+    q: QueryId,
+    l: LocationId,
+    cell: Option<&M::Cell>,
+    measure: M,
 ) -> Vec<Option<f64>> {
-    ctx.universe()
-        .group_ids()
+    let _cell = cell_span(q, l, M::PLATFORM, measure.label());
+    let groups = ctx.universe().group_ids();
+    let Some(cell) = cell else {
+        return groups.map(|_| None).collect();
+    };
+    let mut eval = measure.evaluator(ctx, cell);
+    groups
         .map(|g| {
-            let start = cells.start();
-            let v = eval_group(g);
-            cells.finish(start, v.is_some());
+            let start = telemetry.start();
+            let v = eval.group(g);
+            telemetry.finish(start, v.is_some());
             v
         })
         .collect()
@@ -407,6 +334,9 @@ struct CellTelemetryInner {
 }
 
 impl CellTelemetry {
+    /// Records nothing: incremental cell updates open only the cell span.
+    const OFF: Self = Self { active: None };
+
     fn new(platform: &str, measure_label: &str) -> Self {
         let t = fbox_telemetry::global();
         if !t.enabled() {
@@ -513,7 +443,7 @@ mod tests {
         let mut inc = FBox::empty(universe);
         // Arrival order deliberately differs from grid order.
         for (q, l) in [(q1, l), (q0, l)] {
-            inc.update_market_cell(q, l, obs.get(q, l), MarketMeasure::exposure());
+            inc.update_cell(q, l, obs.get(q, l), MarketMeasure::exposure());
         }
         let a: Vec<Option<u64>> =
             inc.cube().raw_data().iter().map(|v| v.map(f64::to_bits)).collect();

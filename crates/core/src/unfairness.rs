@@ -1,10 +1,17 @@
 //! The unfairness value `d⟨g,q,l⟩` for one cell, for both site types
 //! (paper §3.2–3.3).
 //!
-//! Both drivers follow Eq. 1/2: contrast group `g` against each of its
+//! Both measures follow Eq. 1/2: contrast group `g` against each of its
 //! *comparable groups* and average. Cells where `g` or every comparable
 //! group lacks data yield `None` — unfairness against nobody is undefined,
 //! and the aggregation layer treats such cells as missing.
+//!
+//! A [`CellMeasure`] hands out the shared-work evaluator of one `(q, l)`
+//! cell ([`SearchCellEval`], [`MarketCellEval`]); every F-Box cube build
+//! and cell update goes through it. The per-group definitions the
+//! evaluators must match bit for bit live in [`reference`].
+
+pub mod reference;
 
 use crate::measures::{self, exposure_unfairness, BinConfig, DiscountModel, Histogram};
 use crate::model::{GroupId, Universe};
@@ -43,15 +50,6 @@ impl SearchMeasure {
             SearchMeasure::JaccardDistance => measures::jaccard::distance(a, b),
         }
     }
-
-    /// Stable identifier used in telemetry metric names
-    /// (`measure.search.<label>`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SearchMeasure::KendallTopK { .. } => "kendall_top_k",
-            SearchMeasure::JaccardDistance => "jaccard",
-        }
-    }
 }
 
 /// Distribution-distance choice for marketplace unfairness (Eq. 2 /
@@ -81,157 +79,68 @@ impl MarketMeasure {
     pub fn exposure() -> Self {
         MarketMeasure::Exposure { model: DiscountModel::NaturalLog }
     }
+}
 
-    /// Stable identifier used in telemetry metric names
-    /// (`measure.market.<label>`).
-    pub fn label(&self) -> &'static str {
+/// A cell measure the F-Box fills its cube with: names its platform and
+/// hands out the shared-work evaluator over one `(q, l)` cell's
+/// observations.
+pub trait CellMeasure: Copy + Sync {
+    /// One cell's observations.
+    type Cell: ?Sized + Sync;
+    /// The all-groups evaluator over one cell.
+    type Eval<'a>: CellEval;
+    /// Platform name in telemetry and trace (`measure.<platform>.<label>`).
+    const PLATFORM: &'static str;
+
+    /// Stable identifier used in telemetry metric names.
+    fn label(&self) -> &'static str;
+
+    /// The evaluator over one cell's observations.
+    fn evaluator<'a>(self, ctx: &'a MeasureContext<'a>, cell: &'a Self::Cell) -> Self::Eval<'a>;
+}
+
+/// Evaluates `d⟨g,q,l⟩` group by group over one prepared cell.
+pub trait CellEval {
+    /// `d⟨g,q,l⟩` for this cell — bit-identical to the [`reference`].
+    fn group(&mut self, g: GroupId) -> Option<f64>;
+}
+
+impl CellMeasure for SearchMeasure {
+    type Cell = [UserList];
+    type Eval<'a> = SearchCellEval<'a, 'a>;
+    const PLATFORM: &'static str = "search";
+
+    fn label(&self) -> &'static str {
+        match self {
+            SearchMeasure::KendallTopK { .. } => "kendall_top_k",
+            SearchMeasure::JaccardDistance => "jaccard",
+        }
+    }
+
+    fn evaluator<'a>(self, ctx: &'a MeasureContext<'a>, lists: &'a [UserList]) -> Self::Eval<'a> {
+        SearchCellEval::new(ctx, lists, self)
+    }
+}
+
+impl CellMeasure for MarketMeasure {
+    type Cell = MarketRanking;
+    type Eval<'a> = MarketCellEval<'a, 'a>;
+    const PLATFORM: &'static str = "market";
+
+    fn label(&self) -> &'static str {
         match self {
             MarketMeasure::Emd { .. } => "emd",
             MarketMeasure::Exposure { .. } => "exposure",
         }
     }
-}
 
-/// Search-engine unfairness `d⟨g,q,l⟩` (Eq. 1): for each comparable group
-/// `g'`, average the list distance over all user pairs `(u ∈ g, u' ∈ g')`,
-/// then average over comparable groups.
-///
-/// Returns `None` when `g` has no users in the sample or no comparable
-/// group does.
-pub fn search_cell_unfairness(
-    universe: &Universe,
-    lists: &[UserList],
-    g: GroupId,
-    measure: SearchMeasure,
-) -> Option<f64> {
-    let g_label = universe.group(g);
-    let members: Vec<&UserList> = lists.iter().filter(|u| g_label.matches(&u.assignment)).collect();
-    if members.is_empty() {
-        return None;
+    fn evaluator<'a>(
+        self,
+        ctx: &'a MeasureContext<'a>,
+        ranking: &'a MarketRanking,
+    ) -> Self::Eval<'a> {
+        MarketCellEval::new(ctx, ranking, self)
     }
-
-    let mut per_group = Vec::new();
-    for g_cmp in universe.comparable_group_ids(g) {
-        let cmp_label = universe.group(g_cmp);
-        let others: Vec<&UserList> =
-            lists.iter().filter(|u| cmp_label.matches(&u.assignment)).collect();
-        if others.is_empty() {
-            continue;
-        }
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for u in &members {
-            for v in &others {
-                sum += measure.distance(&u.results, &v.results);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            continue; // no member pairs: skip rather than average a NaN
-        }
-        per_group.push(sum / n as f64);
-    }
-    average(&per_group)
-}
-
-/// Marketplace unfairness `d⟨g,q,l⟩` for one crawled ranking.
-///
-/// - [`MarketMeasure::Emd`] (Eq. 2): normalized EMD between the relevance
-///   histogram of `g` and each comparable group's, averaged.
-/// - [`MarketMeasure::Exposure`] (§3.3.2): deviation between `g`'s exposure
-///   share and relevance share over the pool `g ∪ comparables(g)`.
-///
-/// Returns `None` when `g` has no workers in the ranking or no comparable
-/// group does.
-pub fn market_cell_unfairness(
-    universe: &Universe,
-    ranking: &MarketRanking,
-    g: GroupId,
-    measure: MarketMeasure,
-) -> Option<f64> {
-    match measure {
-        MarketMeasure::Emd { bins } => market_emd(universe, ranking, g, bins),
-        MarketMeasure::Exposure { model } => market_exposure(universe, ranking, g, model),
-    }
-}
-
-fn market_emd(
-    universe: &Universe,
-    ranking: &MarketRanking,
-    g: GroupId,
-    bins: usize,
-) -> Option<f64> {
-    let cfg = BinConfig::unit(bins);
-    let g_hist = group_histogram(universe, ranking, g, cfg);
-    if g_hist.is_empty() {
-        return None;
-    }
-    let mut dists = Vec::new();
-    for g_cmp in universe.comparable_group_ids(g) {
-        let h = group_histogram(universe, ranking, g_cmp, cfg);
-        if let Some(d) = measures::emd_1d_normalized(&g_hist, &h) {
-            dists.push(d);
-        }
-    }
-    average(&dists)
-}
-
-fn group_histogram(
-    universe: &Universe,
-    ranking: &MarketRanking,
-    g: GroupId,
-    cfg: BinConfig,
-) -> Histogram {
-    let label = universe.group(g);
-    let mut h = Histogram::empty(cfg);
-    for (i, w) in ranking.workers().iter().enumerate() {
-        if label.matches(&w.assignment) {
-            h.add(ranking.relevance(i));
-        }
-    }
-    h
-}
-
-fn market_exposure(
-    universe: &Universe,
-    ranking: &MarketRanking,
-    g: GroupId,
-    model: DiscountModel,
-) -> Option<f64> {
-    let g_label = universe.group(g);
-    let comparables: Vec<_> =
-        universe.comparable_group_ids(g).into_iter().map(|c| universe.group(c).clone()).collect();
-    if comparables.is_empty() {
-        return None;
-    }
-
-    let (mut g_exp, mut g_rel) = (0.0f64, 0.0f64);
-    let (mut pool_exp, mut pool_rel) = (0.0f64, 0.0f64);
-    let mut g_seen = false;
-    let mut cmp_seen = false;
-    for (i, w) in ranking.workers().iter().enumerate() {
-        let in_g = g_label.matches(&w.assignment);
-        let in_cmp = comparables.iter().any(|c| c.matches(&w.assignment));
-        if !in_g && !in_cmp {
-            continue;
-        }
-        let exp = model.exposure(w.rank);
-        let rel = ranking.relevance(i);
-        pool_exp += exp;
-        pool_rel += rel;
-        if in_g {
-            g_exp += exp;
-            g_rel += rel;
-            g_seen = true;
-        }
-        if in_cmp {
-            cmp_seen = true;
-        }
-    }
-    if !g_seen || !cmp_seen {
-        return None;
-    }
-    exposure_unfairness(g_exp, pool_exp, g_rel, pool_rel)
 }
 
 fn average(values: &[f64]) -> Option<f64> {
@@ -246,8 +155,7 @@ fn average(values: &[f64]) -> Option<f64> {
 /// group ids — resolved once per cube build and shared read-only across
 /// the build workers.
 ///
-/// [`search_cell_unfairness`] and [`market_cell_unfairness`] re-resolve
-/// this per `(cell, group)` call (label lookups, hash probes, label-vector
+/// The [`reference`] oracles re-resolve this per `(cell, group)` call (label lookups, hash probes, label-vector
 /// clones); over the 5,361-cell TaskRabbit grid that is ~59k redundant
 /// resolutions of an 11-row table. The context hoists it to one.
 #[derive(Debug)]
@@ -293,7 +201,7 @@ impl<'u> MeasureContext<'u> {
 ///
 /// Equivalence contract, enforced by tests and the parallel-determinism
 /// property suite: `eval.group(g)` is bit-for-bit identical to
-/// [`search_cell_unfairness`]`(universe, lists, g, measure)`.
+/// [`reference::search_cell_unfairness`]`(universe, lists, g, measure)`.
 #[derive(Debug)]
 pub struct SearchCellEval<'a, 'u> {
     ctx: &'a MeasureContext<'u>,
@@ -323,9 +231,10 @@ impl<'a, 'u> SearchCellEval<'a, 'u> {
             .collect();
         Self { ctx, lists, measure, members, distances: vec![None; lists.len() * lists.len()] }
     }
+}
 
-    /// `d⟨g,q,l⟩` for this cell — bit-identical to the reference.
-    pub fn group(&mut self, g: GroupId) -> Option<f64> {
+impl CellEval for SearchCellEval<'_, '_> {
+    fn group(&mut self, g: GroupId) -> Option<f64> {
         let Self { ctx, lists, measure, members, distances } = self;
         let g_members = &members[g.0 as usize];
         if g_members.is_empty() {
@@ -371,7 +280,7 @@ impl<'a, 'u> SearchCellEval<'a, 'u> {
 ///   bin in fixed bin order), so `(g, g')` and `(g', g)` share one entry.
 ///
 /// Equivalence contract: `eval.group(g)` is bit-for-bit identical to
-/// [`market_cell_unfairness`]`(universe, ranking, g, measure)`.
+/// [`reference::market_cell_unfairness`]`(universe, ranking, g, measure)`.
 #[derive(Debug)]
 pub struct MarketCellEval<'a, 'u> {
     ctx: &'a MeasureContext<'u>,
@@ -437,14 +346,6 @@ impl<'a, 'u> MarketCellEval<'a, 'u> {
         }
     }
 
-    /// `d⟨g,q,l⟩` for this cell — bit-identical to the reference.
-    pub fn group(&mut self, g: GroupId) -> Option<f64> {
-        match self.measure {
-            MarketMeasure::Emd { .. } => self.group_emd(g),
-            MarketMeasure::Exposure { .. } => self.group_exposure(g),
-        }
-    }
-
     fn group_emd(&mut self, g: GroupId) -> Option<f64> {
         let g_hist = &self.histograms[g.0 as usize];
         if g_hist.is_empty() {
@@ -502,8 +403,18 @@ impl<'a, 'u> MarketCellEval<'a, 'u> {
     }
 }
 
+impl CellEval for MarketCellEval<'_, '_> {
+    fn group(&mut self, g: GroupId) -> Option<f64> {
+        match self.measure {
+            MarketMeasure::Emd { .. } => self.group_emd(g),
+            MarketMeasure::Exposure { .. } => self.group_exposure(g),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{market_cell_unfairness, search_cell_unfairness};
     use super::*;
     use crate::model::Schema;
     use crate::observations::RankedWorker;
@@ -607,8 +518,12 @@ mod tests {
 
     #[test]
     fn search_cell_eval_matches_reference_bit_for_bit() {
-        for identical in [true, false] {
-            let (u, lists) = two_group_lists(identical);
+        let cases = [
+            ("identical", two_group_lists(true)),
+            ("disjoint", two_group_lists(false)),
+            ("table 1", paper_toy::table1_lists()),
+        ];
+        for (case, (u, lists)) in cases {
             let ctx = MeasureContext::new(&u);
             for m in [SearchMeasure::kendall(), SearchMeasure::JaccardDistance] {
                 let mut eval = SearchCellEval::new(&ctx, &lists, m);
@@ -618,7 +533,7 @@ mod tests {
                     assert_eq!(
                         fast.map(f64::to_bits),
                         reference.map(f64::to_bits),
-                        "{m:?} group {g:?} identical={identical}"
+                        "{m:?} group {g:?} on {case}"
                     );
                 }
             }

@@ -4,7 +4,7 @@
 //! threshold algorithm must return exactly the same top-k values as the
 //! full scan — that is the correctness claim behind the paper's §4.2.
 
-use fbox_core::algo::{compare, naive_top_k, nra_top_k, top_k, Entity, RankOrder, Restriction};
+use fbox_core::algo::{compare, naive_top_k, top_k, Entity, RankOrder, Restriction};
 use fbox_core::index::{Dimension, IndexSet};
 use fbox_core::measures::{self, BinConfig, DiscountModel, Histogram};
 use fbox_core::model::{GroupId, LocationId, QueryId};
@@ -66,18 +66,6 @@ proptest! {
             let ta = top_k(&idx, dim, k, RankOrder::LeastUnfair, &Restriction::none());
             let nv = naive_top_k(&cube, dim, k, RankOrder::LeastUnfair, &Restriction::none());
             assert_close(&values(&ta.entries), &values(&nv.entries));
-        }
-    }
-
-    #[test]
-    fn nra_equals_naive(cube in complete_cube(12, 4, 4), k in 1usize..8) {
-        let idx = IndexSet::build(&cube);
-        for dim in [Dimension::Group, Dimension::Query, Dimension::Location] {
-            for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
-                let nra = nra_top_k(&idx, dim, k, order, &Restriction::none());
-                let nv = naive_top_k(&cube, dim, k, order, &Restriction::none());
-                assert_close(&values(&nra.entries), &values(&nv.entries));
-            }
         }
     }
 

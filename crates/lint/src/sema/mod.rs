@@ -51,16 +51,17 @@ pub use race_static_mut::RaceStaticMut;
 /// [`par-panic-reachable`](ParPanicReachable) roots.
 pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "scope", "with_threads"];
 
-/// Default determinism roots: the cube builds, the crawls, the study
+/// Default determinism roots: the cube builds and the reference cubes
+/// they are tested bit-for-bit against, the crawls, the study
 /// drivers, the durable-store ingest/publish entry points, and the
 /// report-emitting experiment entry points. Overridable via
 /// `[sema] roots = […]` in `Lint.toml`; patterns are `::`-separated
 /// suffixes matched against qualified function names.
 pub const DEFAULT_DET_ROOTS: &[&str] = &[
     "FBox::from_search",
-    "FBox::from_search_serial",
     "FBox::from_market",
-    "FBox::from_market_serial",
+    "reference::search_cube",
+    "reference::market_cube",
     "crawl::crawl",
     "crawl::crawl_resilient",
     "study::run_study",
@@ -70,7 +71,6 @@ pub const DEFAULT_DET_ROOTS: &[&str] = &[
     "ingest::study_durable",
     "ingest::study_durable_with_plan",
     "EpochStore::ingest_market",
-    "EpochStore::ingest_search",
     "EpochStore::publish",
     "taskrabbit_quant::run",
     "taskrabbit_compare::run",
@@ -868,7 +868,7 @@ mod tests {
     fn qname_suffix_matching() {
         assert!(qname_matches("core::fbox::FBox::from_search", "FBox::from_search"));
         assert!(qname_matches("core::fbox::FBox::from_search", "from_search"));
-        assert!(!qname_matches("core::fbox::FBox::from_search_serial", "from_search"));
+        assert!(!qname_matches("core::fbox::FBox::from_searches", "from_search"));
         assert!(!qname_matches("a::b", "a::b::c"));
         assert!(qname_matches("a::b::c", "a::b::c"));
     }

@@ -5,12 +5,10 @@
 use super::taskrabbit_quant::ExperimentResult;
 use crate::paper;
 use crate::scenario::TaskRabbitScenario;
-use fbox_core::model::{LocationId, QueryId};
+use fbox_core::model::{GroupId, LocationId, QueryId, Universe};
 use fbox_core::observations::MarketObservations;
 use fbox_core::paper_toy;
-use fbox_core::unfairness::{
-    market_cell_unfairness, search_cell_unfairness, MarketMeasure, SearchMeasure,
-};
+use fbox_core::unfairness::{CellEval, CellMeasure, MarketMeasure, MeasureContext, SearchMeasure};
 use fbox_core::FBox;
 
 /// Runs all figure/setup reproductions. `taskrabbit` supplies the crawl
@@ -22,10 +20,8 @@ pub fn run(taskrabbit: &TaskRabbitScenario) -> ExperimentResult {
     // ---- Figures 1/3: search-engine toy (Table 1) -------------------------
     let (universe, lists) = paper_toy::table1_lists();
     let bf = universe.group_id_by_text("gender=Female & ethnicity=Black").expect("toy group");
-    let kendall = search_cell_unfairness(&universe, &lists, bf, SearchMeasure::kendall())
-        .expect("toy data complete");
-    let jaccard = search_cell_unfairness(&universe, &lists, bf, SearchMeasure::JaccardDistance)
-        .expect("toy data complete");
+    let kendall = toy_cell(&universe, &lists[..], bf, SearchMeasure::kendall());
+    let jaccard = toy_cell(&universe, &lists[..], bf, SearchMeasure::JaccardDistance);
     report.push_str("## Figures 1/3: Black Females on the toy search engine (Table 1)\n");
     report.push_str(&format!(
         "Kendall-Tau unfairness: {kendall:.3}  (paper's Figure 1 illustrates the averaging with 0.50)\n"
@@ -45,8 +41,7 @@ pub fn run(taskrabbit: &TaskRabbitScenario) -> ExperimentResult {
     // ---- Figures 2/4: EMD toy (Tables 2–3) --------------------------------
     let (universe, ranking) = paper_toy::table3_ranking();
     let bf = universe.group_id_by_text("gender=Female & ethnicity=Black").expect("toy group");
-    let emd = market_cell_unfairness(&universe, &ranking, bf, MarketMeasure::emd())
-        .expect("toy data complete");
+    let emd = toy_cell(&universe, &ranking, bf, MarketMeasure::emd());
     report.push_str("## Figures 2/4: Black Females on the toy marketplace (Tables 2–3)\n");
     report.push_str(&format!(
         "EMD unfairness: {emd:.3}  (paper's Figure 4 illustrates the averaging with 0.50)\n\n"
@@ -54,8 +49,7 @@ pub fn run(taskrabbit: &TaskRabbitScenario) -> ExperimentResult {
     checks.push(("Figures 2/4: toy EMD unfairness is in (0, 1)".into(), emd > 0.0 && emd < 1.0));
 
     // ---- Figure 5: exposure toy — the paper's exact numbers ---------------
-    let exposure = market_cell_unfairness(&universe, &ranking, bf, MarketMeasure::exposure())
-        .expect("toy data complete");
+    let exposure = toy_cell(&universe, &ranking, bf, MarketMeasure::exposure());
     report.push_str("## Figure 5: exposure unfairness of Black Females (Tables 2–3)\n");
     report.push_str(&format!(
         "Measured: {exposure:.3}; paper: |0.94/(0.94+4.0) − 0.5/(0.5+2.9)| ≈ 0.04\n\n"
@@ -125,6 +119,14 @@ pub fn run(taskrabbit: &TaskRabbitScenario) -> ExperimentResult {
     checks.push(("Table 7: coverage sums to the 10 study locations".into(), total == 10));
 
     ExperimentResult { report, checks }.finish()
+}
+
+/// `d⟨g,q,l⟩` of one toy cell through the measure's shared-work
+/// evaluator — the path every cube build takes.
+fn toy_cell<M: CellMeasure>(universe: &Universe, cell: &M::Cell, g: GroupId, measure: M) -> f64 {
+    let ctx = MeasureContext::new(universe);
+    let value = measure.evaluator(&ctx, cell).group(g);
+    value.expect("toy data complete")
 }
 
 /// Builds the toy marketplace wrapped in a full F-Box (used by the

@@ -2,12 +2,12 @@
 //!
 //! An [`EpochStore`] holds a mutable writer-side [`FBox`] that cell
 //! observations delta-update as they stream in (via
-//! [`FBox::update_market_cell`] / [`FBox::update_search_cell`], which
-//! touch only the affected measure entries and posting lists), plus the
-//! latest *published* epoch: an immutable [`EpochSnapshot`] behind an
-//! `Arc`. Top-k, NRA, naive scans, and `compare` run against a pinned
-//! epoch and are byte-stable for as long as the pin is held, no matter
-//! how much ingestion or publishing happens concurrently.
+//! [`FBox::update_cell`], which touches only the affected measure entries
+//! and posting lists), plus the latest *published* epoch: an immutable
+//! [`EpochSnapshot`] behind an `Arc`. Top-k, naive scans, and `compare`
+//! run against a pinned epoch and are byte-stable for as long as the pin
+//! is held, no matter how much ingestion or publishing happens
+//! concurrently.
 //!
 //! Publishing clones the writer F-Box — an O(cube) copy, paid only at
 //! epoch boundaries, never per cell. Epoch numbers start at 0 (the empty
@@ -19,8 +19,8 @@
 //! epochs.
 
 use fbox_core::model::{LocationId, QueryId, Universe};
-use fbox_core::observations::{MarketRanking, UserList};
-use fbox_core::unfairness::{MarketMeasure, SearchMeasure};
+use fbox_core::observations::MarketRanking;
+use fbox_core::unfairness::MarketMeasure;
 use fbox_core::FBox;
 use std::sync::{Arc, Mutex};
 
@@ -57,8 +57,7 @@ struct WriterState {
 
 /// A concurrently readable, incrementally writable cube store.
 ///
-/// Writers call [`ingest_market`](Self::ingest_market) /
-/// [`ingest_search`](Self::ingest_search) as cells resolve and
+/// Writers call [`ingest_market`](Self::ingest_market) as cells resolve and
 /// [`publish`](Self::publish) at consistency points; readers call
 /// [`latest`](Self::latest) and keep the `Arc` for as long as they need
 /// a frozen view.
@@ -97,21 +96,7 @@ impl EpochStore {
         measure: MarketMeasure,
     ) {
         let mut state = self.state.lock().expect("epoch store writer poisoned");
-        state.fbox.update_market_cell(q, l, ranking, measure);
-        state.dirty_cells += 1;
-    }
-
-    /// Delta-updates the writer cube with search observations for cell
-    /// `(q, l)`. An empty slice clears the cell.
-    pub fn ingest_search(
-        &self,
-        q: QueryId,
-        l: LocationId,
-        lists: &[UserList],
-        measure: SearchMeasure,
-    ) {
-        let mut state = self.state.lock().expect("epoch store writer poisoned");
-        state.fbox.update_search_cell(q, l, lists, measure);
+        state.fbox.update_cell(q, l, ranking, measure);
         state.dirty_cells += 1;
     }
 
@@ -207,12 +192,7 @@ mod tests {
     #[test]
     fn seeded_store_publishes_the_seed_as_epoch_zero() {
         let mut fbox = FBox::empty(universe());
-        fbox.update_market_cell(
-            QueryId(0),
-            LocationId(0),
-            Some(&ranking()),
-            MarketMeasure::exposure(),
-        );
+        fbox.update_cell(QueryId(0), LocationId(0), Some(&ranking()), MarketMeasure::exposure());
         let store = EpochStore::with_fbox(fbox);
         let seed = store.latest();
         assert_eq!(seed.epoch(), 0);

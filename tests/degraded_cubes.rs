@@ -5,14 +5,14 @@
 //! crawl cells into missing cube cells. These properties pin the query
 //! layer's contract on such cubes:
 //!
-//! - TA ([`top_k`]), NRA ([`nra_top_k`]), and the naive scan agree on any
-//!   missing-cell pattern, under random restrictions;
+//! - TA ([`top_k`]) and the naive scan agree on any missing-cell pattern,
+//!   under random restrictions;
 //! - the aggregate for an entity is the average over its *present* cells
 //!   (checked against a hand-rolled computation), and entities with no
 //!   present cells are omitted, not scored 0;
 //! - [`UnfairnessCube::coverage`] reports exactly the injected mask rate.
 
-use fbox::core::algo::{naive_top_k, nra_top_k, top_k, RankOrder, Restriction};
+use fbox::core::algo::{naive_top_k, top_k, RankOrder, Restriction};
 use fbox::core::model::{GroupId, LocationId, QueryId};
 use fbox::core::{IndexSet, UnfairnessCube};
 use fbox::Dimension;
@@ -111,7 +111,7 @@ fn assert_same_values(a: &[(u32, f64)], b: &[(u32, f64)], context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// TA, NRA, and the naive scan agree on degraded cubes under random
+    /// TA and the naive scan agree on degraded cubes under random
     /// restrictions, for every dimension and both rank orders.
     #[test]
     fn algorithms_agree_on_degraded_cubes(
@@ -133,10 +133,8 @@ proptest! {
         for dim in [Dimension::Group, Dimension::Query, Dimension::Location] {
             for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
                 let ta = top_k(&idx, dim, k, order, &restrict);
-                let nra = nra_top_k(&idx, dim, k, order, &restrict);
                 let nv = naive_top_k(cube, dim, k, order, &restrict);
                 assert_same_values(&ta.entries, &nv.entries, &format!("ta vs naive, {dim:?} {order:?}"));
-                assert_same_values(&nra.entries, &nv.entries, &format!("nra vs naive, {dim:?} {order:?}"));
             }
         }
     }
@@ -157,7 +155,6 @@ proptest! {
                 for (name, result) in [
                     ("naive", naive_top_k(cube, dim, k, order, &Restriction::none())),
                     ("ta", top_k(&idx, dim, k, order, &Restriction::none())),
-                    ("nra", nra_top_k(&idx, dim, k, order, &Restriction::none())),
                 ] {
                     prop_assert_eq!(
                         result.entries.len(),

@@ -6,10 +6,11 @@
 //! *byte-identical* to its serial reference at any thread count. Speed
 //! may vary with `FBOX_THREADS`; answers may not.
 
-use fbox::core::algo::{naive_top_k, nra_top_k, top_k, RankOrder, Restriction};
+use fbox::core::algo::{naive_top_k, top_k, RankOrder, Restriction};
 use fbox::core::model::{GroupId, LocationId, QueryId};
 use fbox::core::observations::{MarketObservations, SearchObservations};
-use fbox::core::unfairness::{search_cell_unfairness, MeasureContext, SearchCellEval};
+use fbox::core::unfairness::reference::{market_cube, search_cell_unfairness, search_cube};
+use fbox::core::unfairness::{CellEval, CellMeasure, MeasureContext, SearchCellEval};
 use fbox::core::{IndexSet, UnfairnessCube};
 use fbox::marketplace::{crawl, BiasProfile, Marketplace, Population, ScoringModel};
 use fbox::par::with_threads;
@@ -21,6 +22,8 @@ use fbox::search::study::{run_study, StudyDesign};
 use fbox::search::SearchEngine;
 use fbox::{Dimension, FBox, MarketMeasure, SearchMeasure, Universe};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Asserts two cubes are equal cell-for-cell at the bit level — not
 /// within an epsilon: the parallel build must apply the exact same float
@@ -69,12 +72,12 @@ fn search_fixture() -> (Universe, SearchObservations) {
 fn market_build_is_bit_identical_across_thread_counts() {
     let (universe, obs) = market_fixture();
     for measure in [MarketMeasure::emd(), MarketMeasure::exposure()] {
-        let reference = FBox::from_market_serial(universe.clone(), &obs, measure);
+        let reference = market_cube(&universe, &obs, measure);
         for threads in [1usize, 2, 8] {
             let parallel =
                 with_threads(threads, || FBox::from_market(universe.clone(), &obs, measure));
             assert_cubes_bit_identical(
-                reference.cube(),
+                &reference,
                 parallel.cube(),
                 &format!("market {measure:?} FBOX_THREADS={threads}"),
             );
@@ -86,15 +89,94 @@ fn market_build_is_bit_identical_across_thread_counts() {
 fn search_build_is_bit_identical_across_thread_counts() {
     let (universe, obs) = search_fixture();
     for measure in [SearchMeasure::kendall(), SearchMeasure::JaccardDistance] {
-        let reference = FBox::from_search_serial(universe.clone(), &obs, measure);
+        let reference = search_cube(&universe, &obs, measure);
         for threads in [1usize, 2, 8] {
             let parallel =
                 with_threads(threads, || FBox::from_search(universe.clone(), &obs, measure));
             assert_cubes_bit_identical(
-                reference.cube(),
+                &reference,
                 parallel.cube(),
                 &format!("search {measure:?} FBOX_THREADS={threads}"),
             );
+        }
+    }
+}
+
+/// Streams `cells` into an empty F-Box through [`FBox::update_cell`] in a
+/// seeded shuffled order. Halfway through, the first cell streamed is
+/// cleared with `cleared` (and checked empty); it is refilled last.
+fn stream_cells<M: CellMeasure>(
+    universe: &Universe,
+    mut cells: Vec<((QueryId, LocationId), &M::Cell)>,
+    cleared: Option<&M::Cell>,
+    measure: M,
+    seed: u64,
+) -> FBox {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..cells.len()).rev() {
+        cells.swap(i, rng.random_range(0..=i));
+    }
+    let mut fb = FBox::empty(universe.clone());
+    let ((q0, l0), first) = cells[0];
+    for (i, &((q, l), cell)) in cells.iter().enumerate() {
+        fb.update_cell(q, l, Some(cell), measure);
+        if i == cells.len() / 2 {
+            fb.update_cell(q0, l0, cleared, measure);
+            assert!(
+                universe.group_ids().all(|g| fb.unfairness(g, q0, l0).is_none()),
+                "cleared cell ({q0:?}, {l0:?}) kept a value"
+            );
+        }
+    }
+    fb.update_cell(q0, l0, Some(first), measure);
+    fb
+}
+
+/// Asserts an incrementally streamed F-Box equals the batch build: cube
+/// bits, index completeness, and the TA answer on every dimension.
+fn assert_matches_batch(incremental: &FBox, batch: &FBox, context: &str) {
+    assert_cubes_bit_identical(batch.cube(), incremental.cube(), context);
+    assert_eq!(
+        incremental.indices().is_complete(),
+        batch.indices().is_complete(),
+        "{context}: index completeness"
+    );
+    for dim in [Dimension::Group, Dimension::Query, Dimension::Location] {
+        for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
+            let none = Restriction::none();
+            assert_eq!(
+                top_k(incremental.indices(), dim, 5, order, &none).entries,
+                top_k(batch.indices(), dim, 5, order, &none).entries,
+                "{context}: TA {dim:?} {order:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn incremental_cells_match_batch_build() {
+    let (market_universe, market_obs) = market_fixture();
+    let (search_universe, search_obs) = search_fixture();
+    for (seed, measure) in [(11, MarketMeasure::emd()), (12, MarketMeasure::exposure())] {
+        let cells = market_obs.cells().collect();
+        let incremental = stream_cells(&market_universe, cells, None, measure, seed);
+        for threads in [1usize, 4] {
+            let batch = with_threads(threads, || {
+                FBox::from_market(market_universe.clone(), &market_obs, measure)
+            });
+            let context = format!("market {measure:?} FBOX_THREADS={threads}");
+            assert_matches_batch(&incremental, &batch, &context);
+        }
+    }
+    for (seed, measure) in [(13, SearchMeasure::kendall()), (14, SearchMeasure::JaccardDistance)] {
+        let cells = search_obs.cells().collect();
+        let incremental = stream_cells(&search_universe, cells, Some(&[][..]), measure, seed);
+        for threads in [1usize, 4] {
+            let batch = with_threads(threads, || {
+                FBox::from_search(search_universe.clone(), &search_obs, measure)
+            });
+            let context = format!("search {measure:?} FBOX_THREADS={threads}");
+            assert_matches_batch(&incremental, &batch, &context);
         }
     }
 }
@@ -202,7 +284,7 @@ fn assert_same_values(a: &[(u32, f64)], b: &[(u32, f64)], context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// TA, NRA, and the naive scan agree on random cubes under random
+    /// TA and the naive scan agree on random cubes under random
     /// restrictions — including restrictions with duplicated ids, which
     /// `Restriction::resolve` now dedups.
     #[test]
@@ -219,10 +301,8 @@ proptest! {
         let idx = IndexSet::build(&cube);
         for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
             let ta = top_k(&idx, Dimension::Group, k, order, &restrict);
-            let nra = nra_top_k(&idx, Dimension::Group, k, order, &restrict);
             let nv = naive_top_k(&cube, Dimension::Group, k, order, &restrict);
             assert_same_values(&ta.entries, &nv.entries, &format!("ta vs naive, {order:?}"));
-            assert_same_values(&nra.entries, &nv.entries, &format!("nra vs naive, {order:?}"));
         }
     }
 

@@ -173,10 +173,8 @@ pub fn top_k(
                 if pj == pi {
                     continue;
                 }
-                let val = indices
-                    .list_for(dim, other)
-                    .random_access(e)
-                    .expect("complete index has every entity in every list");
+                let val =
+                    indices.random_access(dim, other, e).expect("a complete cube has every cell");
                 stats.random_accesses += 1;
                 stats.cells_scanned += 1;
                 sum += val;
@@ -324,7 +322,7 @@ fn top_k_partial(
                 }
                 stats.random_accesses += 1;
                 stats.cells_scanned += 1;
-                if let Some(val) = indices.list_for(dim, other).random_access(e) {
+                if let Some(val) = indices.random_access(dim, other, e) {
                     sum += val;
                     present += 1;
                 }

@@ -1,8 +1,9 @@
 //! The F-Box: the end-to-end pipeline of the paper's Figure 6/9 —
 //! observations in, unfairness answers out.
 //!
-//! An [`FBox`] owns a [`Universe`], the [`UnfairnessCube`] computed from a
-//! platform's observations, and the three pre-built index families, and
+//! An [`FBox`] owns a [`Universe`] and an [`IndexSet`]: the
+//! [`UnfairnessCube`] computed from a platform's observations with its
+//! three pre-built index families. It
 //! exposes the two problems of §4: [quantification](FBox::top_k) and
 //! [comparison](FBox::compare).
 
@@ -12,12 +13,15 @@ use crate::index::{Dimension, IndexSet};
 use crate::model::{GroupId, LocationId, QueryId, Universe};
 use crate::observations::{MarketObservations, SearchObservations};
 use crate::unfairness::{CellEval, CellMeasure, MarketMeasure, MeasureContext, SearchMeasure};
+use std::sync::Arc;
 
 /// The assembled fairness framework for one study.
+///
+/// Cloning is cheap: the universe and the posting lists are shared, and
+/// only the cube is copied (see [`IndexSet`]).
 #[derive(Debug, Clone)]
 pub struct FBox {
-    universe: Universe,
-    cube: UnfairnessCube,
+    universe: Arc<Universe>,
     indices: IndexSet,
 }
 
@@ -100,8 +104,7 @@ impl FBox {
             universe.n_locations(),
             "cube/universe location count mismatch"
         );
-        let indices = IndexSet::build(&cube);
-        Self { universe, cube, indices }
+        Self { universe: Arc::new(universe), indices: IndexSet::from_cube(cube) }
     }
 
     /// An F-Box over an empty cube: the starting point of incremental
@@ -118,8 +121,9 @@ impl FBox {
     /// place. An empty list slice also clears a search cell.
     ///
     /// This is the incremental counterpart of
-    /// [`from_market`](Self::from_market) / [`from_search`](Self::from_search)
-    /// and runs the same per-cell routine: because each cell's measures
+    /// [`from_market`](Self::from_market) / [`from_search`](Self::from_search):
+    /// [`evaluate_cell`](Self::evaluate_cell) then
+    /// [`apply_cell`](Self::apply_cell). Because each cell's measures
     /// depend only on that cell's observations, and
     /// [`IndexSet::update_cell`] reproduces the total list order exactly,
     /// streaming cells through this method yields an F-Box bit-identical
@@ -132,12 +136,36 @@ impl FBox {
         cell: Option<&M::Cell>,
         measure: M,
     ) {
+        let values = self.evaluate_cell(q, l, cell, measure);
+        self.apply_cell(q, l, &values);
+    }
+
+    /// The evaluate step of [`update_cell`](Self::update_cell): cell
+    /// `(q, l)`'s value for every group, in group-id order (all `None`
+    /// for a cleared cell), through the same per-cell routine as the
+    /// batch build.
+    pub fn evaluate_cell<M: CellMeasure>(
+        &self,
+        q: QueryId,
+        l: LocationId,
+        cell: Option<&M::Cell>,
+        measure: M,
+    ) -> Vec<Option<f64>> {
         let ctx = MeasureContext::new(&self.universe);
-        let values = evaluate_cell(&ctx, &CellTelemetry::OFF, q, l, cell, measure);
-        for (g, v) in self.universe.group_ids().zip(values) {
-            self.cube.set_opt(g, q, l, v);
-        }
-        self.indices.update_cell(&self.cube, q, l);
+        evaluate_cell(&ctx, &CellTelemetry::OFF, q, l, cell, measure)
+    }
+
+    /// The apply step of [`update_cell`](Self::update_cell): writes
+    /// per-group `values` (from [`evaluate_cell`](Self::evaluate_cell))
+    /// into cell `(q, l)` through [`IndexSet::update_cell`], and returns
+    /// how many posting lists shared with a clone of this F-Box had to
+    /// be copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold one value per group.
+    pub fn apply_cell(&mut self, q: QueryId, l: LocationId, values: &[Option<f64>]) -> usize {
+        self.indices.update_cell(q, l, values)
     }
 
     /// The study universe.
@@ -147,7 +175,7 @@ impl FBox {
 
     /// The unfairness cube.
     pub fn cube(&self) -> &UnfairnessCube {
-        &self.cube
+        self.indices.cube()
     }
 
     /// The pre-built indices.
@@ -157,7 +185,7 @@ impl FBox {
 
     /// One cell: `d⟨g,q,l⟩`.
     pub fn unfairness(&self, g: GroupId, q: QueryId, l: LocationId) -> Option<f64> {
-        self.cube.get(g, q, l)
+        self.indices.value(g, q, l)
     }
 
     /// Problem 1 over any dimension. Uses the threshold algorithm when the
@@ -174,10 +202,10 @@ impl FBox {
         restrict: &Restriction,
     ) -> TopKResult {
         let _span = fbox_telemetry::span!("fbox.top_k");
-        if self.cube.is_complete() {
+        if self.indices.is_complete() {
             algo::top_k(&self.indices, dim, k, order, restrict)
         } else {
-            algo::naive_top_k(&self.cube, dim, k, order, restrict)
+            algo::naive_top_k(self.cube(), dim, k, order, restrict)
         }
     }
 
@@ -266,7 +294,7 @@ fn cell_span(
 }
 
 /// The one per-cell routine of the batch build and of
-/// [`FBox::update_cell`]: opens the cell's trace span and evaluates every
+/// [`FBox::evaluate_cell`]: opens the cell's trace span and evaluates every
 /// group through the measure's shared-work evaluator, with per-group
 /// telemetry, returning the cell's values in group-id order (all `None`
 /// for a cleared cell). Runs inside a [`fbox_par`] worker during builds.
@@ -418,6 +446,35 @@ mod tests {
         let fb2 = FBox::from_cube(fb.universe().clone(), cube);
         let groups2 = fb2.top_k_groups(3, RankOrder::MostUnfair, &Restriction::none());
         assert_eq!(groups2.len(), 3);
+    }
+
+    #[test]
+    fn top_k_plan_follows_completeness_through_cell_updates() {
+        // Two cells over one ranking, so clearing one leaves data behind.
+        let (mut universe, ranking) = paper_toy::table3_ranking();
+        let q0 = universe.add_query("Home Cleaning", Some("General Cleaning"));
+        let q1 = universe.add_query("Yard Work", Some("General Cleaning"));
+        let l = universe.add_location("San Francisco, CA", Some("West Coast"));
+        let mut obs = MarketObservations::new();
+        obs.insert(q0, l, ranking.clone());
+        obs.insert(q1, l, ranking.clone());
+        let mut fb = FBox::from_market(universe, &obs, MarketMeasure::exposure());
+        // TA does sorted accesses; the naive scan does none.
+        let takes_ta = |fb: &FBox| {
+            let r = fb.top_k(Dimension::Group, 3, RankOrder::MostUnfair, &Restriction::none());
+            assert_eq!(r.entries.len(), 3);
+            r.stats.sorted_accesses > 0
+        };
+        assert!(fb.indices().is_complete());
+        assert!(takes_ta(&fb));
+
+        fb.update_cell(q1, l, None, MarketMeasure::exposure());
+        assert!(!fb.indices().is_complete());
+        assert!(!takes_ta(&fb), "a hole switches to the naive scan");
+
+        fb.update_cell(q1, l, Some(&ranking), MarketMeasure::exposure());
+        assert!(fb.indices().is_complete());
+        assert!(takes_ta(&fb), "refilling the hole switches back to TA");
     }
 
     #[test]

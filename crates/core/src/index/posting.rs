@@ -1,45 +1,44 @@
-//! Inverted posting lists with sorted and random access — the two access
-//! primitives Fagin-style threshold algorithms need (paper §4.2, Table 5).
-
-use serde::{Deserialize, Serialize};
+//! Inverted posting lists: the sorted-access primitive Fagin-style
+//! threshold algorithms need (paper §4.2, Table 5). Random access is
+//! served by the cube the [`IndexSet`](super::IndexSet) owns.
 
 /// One inverted index: entities of a dimension sorted by descending
-/// unfairness, plus an O(1) random-access side table.
+/// unfairness.
 ///
-/// Entities missing a value (missing cube cells) are absent from the list
-/// and random access returns `None` for them.
+/// Entities missing a value (missing cube cells) are absent from the list.
 ///
 /// Ties are broken by ascending entity id so that index construction — and
 /// everything built on it — is deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PostingList {
     /// `(entity, value)` sorted by value desc, then entity asc.
     entries: Vec<(u32, f64)>,
-    /// Dense random-access table indexed by entity id.
-    values: Vec<Option<f64>>,
 }
 
 impl PostingList {
-    /// Builds a posting list from per-entity optional values; `values[e]`
-    /// is entity `e`'s unfairness (or `None` if missing).
+    /// Builds a posting list from per-entity optional values; the `e`-th
+    /// item is entity `e`'s unfairness (or `None` if missing).
     ///
     /// # Panics
     ///
     /// Panics if any present value is NaN — NaN cannot be ordered.
-    pub fn from_values(values: Vec<Option<f64>>) -> Self {
+    pub fn from_values(values: impl IntoIterator<Item = Option<f64>>) -> Self {
         let mut entries: Vec<(u32, f64)> =
-            values.iter().enumerate().filter_map(|(e, v)| v.map(|v| (e as u32, v))).collect();
+            (0u32..).zip(values).filter_map(|(e, v)| v.map(|v| (e, v))).collect();
         assert!(entries.iter().all(|(_, v)| !v.is_nan()), "posting list values must not be NaN");
         entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Self { entries, values }
+        Self { entries }
     }
 
-    /// Sets entity `e`'s value to `new` (or clears it with `None`),
-    /// keeping the sorted entries exact. Because ties break by ascending
-    /// entity id, the list order is *total*: the updated list is
-    /// bit-identical to [`Self::from_values`] over the updated value
-    /// table, which is what lets the incremental store delta-update lists
-    /// instead of rebuilding them (see `crates/store`).
+    /// Moves entity `e` from its `old` value to `new` (either may be
+    /// `None`: absent from the list), keeping the sorted entries exact.
+    /// `old` must be the value the list currently holds for `e`; the
+    /// owning [`IndexSet`](super::IndexSet) reads it from its cube.
+    /// Because ties break by ascending entity id, the list order is
+    /// *total*: the updated list is bit-identical to
+    /// [`Self::from_values`] over the updated values, which is what lets
+    /// the incremental store delta-update lists instead of rebuilding
+    /// them (see `crates/store`).
     ///
     /// Cost is O(log n) to locate plus O(n) to shift — proportional to
     /// this one list, never to the whole cube.
@@ -47,11 +46,7 @@ impl PostingList {
     /// # Panics
     ///
     /// Panics if `new` is NaN — NaN cannot be ordered.
-    pub fn update(&mut self, e: u32, new: Option<f64>) {
-        if self.values.len() <= e as usize {
-            self.values.resize(e as usize + 1, None);
-        }
-        let old = self.values[e as usize];
+    pub fn update(&mut self, e: u32, old: Option<f64>, new: Option<f64>) {
         if old.map(f64::to_bits) == new.map(f64::to_bits) {
             return;
         }
@@ -61,8 +56,11 @@ impl PostingList {
             entries.binary_search_by(|probe| probe.1.total_cmp(&v).reverse().then(probe.0.cmp(&e)))
         };
         if let Some(v) = old {
-            let pos = slot(&self.entries, v).expect("entry table and value table out of sync");
-            self.entries.remove(pos);
+            let found = slot(&self.entries, v);
+            debug_assert!(found.is_ok(), "entity {e} has no entry at its old value {v}");
+            if let Ok(pos) = found {
+                self.entries.remove(pos);
+            }
         }
         if let Some(v) = new {
             assert!(!v.is_nan(), "posting list values must not be NaN");
@@ -71,7 +69,6 @@ impl PostingList {
             };
             self.entries.insert(pos, (e, v));
         }
-        self.values[e as usize] = new;
     }
 
     /// Number of present entries.
@@ -84,11 +81,6 @@ impl PostingList {
         self.entries.is_empty()
     }
 
-    /// Whether every entity in `0..n_entities` has a value.
-    pub fn is_complete(&self, n_entities: usize) -> bool {
-        self.values.len() >= n_entities && self.values[..n_entities].iter().all(Option::is_some)
-    }
-
     /// Sorted access in *descending* unfairness order: the entry at
     /// `cursor` (0-based), or `None` past the end.
     pub fn sorted_desc(&self, cursor: usize) -> Option<(u32, f64)> {
@@ -99,11 +91,6 @@ impl PostingList {
     /// "least unfair" queries).
     pub fn sorted_asc(&self, cursor: usize) -> Option<(u32, f64)> {
         self.entries.iter().rev().nth(cursor).copied()
-    }
-
-    /// Random access: entity `e`'s value, `None` if missing.
-    pub fn random_access(&self, e: u32) -> Option<f64> {
-        self.values.get(e as usize).copied().flatten()
     }
 
     /// The raw sorted entries (descending).
@@ -141,20 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn random_access_handles_missing() {
+    fn missing_entities_are_absent() {
         let l = list();
-        assert_eq!(l.random_access(2), Some(0.9));
-        assert_eq!(l.random_access(1), None);
-        assert_eq!(l.random_access(99), None);
-    }
-
-    #[test]
-    fn completeness() {
-        let l = list();
-        assert!(!l.is_complete(5));
-        let full = PostingList::from_values(vec![Some(0.1), Some(0.2)]);
-        assert!(full.is_complete(2));
-        assert!(!full.is_complete(3));
+        assert!(l.entries().iter().all(|&(e, _)| e != 1));
     }
 
     #[test]
@@ -169,7 +145,7 @@ mod tests {
     fn update_matches_from_values_rebuild() {
         // Every single-entity transition (set, change, clear, no-op) must
         // leave the list bit-identical to a from-scratch build over the
-        // same value table — the invariant the incremental store rests on.
+        // same values — the invariant the incremental store rests on.
         let starts = vec![
             vec![None, None, None, None],
             vec![Some(0.3), None, Some(0.9), Some(0.3)],
@@ -181,27 +157,12 @@ mod tests {
                 for new in news {
                     let mut values = start.clone();
                     let mut incremental = PostingList::from_values(values.clone());
-                    incremental.update(e, new);
+                    incremental.update(e, values[e as usize], new);
                     values[e as usize] = new;
                     let rebuilt = PostingList::from_values(values);
-                    assert_eq!(incremental.entries(), rebuilt.entries());
-                    for i in 0..start.len() as u32 {
-                        assert_eq!(
-                            incremental.random_access(i).map(f64::to_bits),
-                            rebuilt.random_access(i).map(f64::to_bits)
-                        );
-                    }
+                    assert_eq!(incremental.entries(), rebuilt.entries(), "e={e} new={new:?}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn update_grows_the_value_table() {
-        let mut l = PostingList::from_values(vec![Some(0.2)]);
-        l.update(3, Some(0.7));
-        assert_eq!(l.sorted_desc(0), Some((3, 0.7)));
-        assert_eq!(l.random_access(3), Some(0.7));
-        assert_eq!(l.random_access(2), None);
     }
 }

@@ -1,8 +1,8 @@
 //! # fbox-store — crash-consistent incremental cube store
 //!
 //! The durability layer under the F-Box: cell observations stream into a
-//! checksummed segment log as a crawl or study runs, delta-update an
-//! incremental F-Box, and publish as immutable epoch snapshots that the
+//! checksummed segment log as a crawl or study runs, are evaluated into
+//! an incremental F-Box, and publish as immutable epoch snapshots that the
 //! read algorithms consume while ingestion continues. A compact binary
 //! snapshot format lets the `repro-*` binaries save a built cube and
 //! reload it instead of re-running the simulators.
@@ -21,8 +21,9 @@
 //!   runners wired to a segment log, so an interrupted or fault-torn run
 //!   resumes from durable state and converges to the uninterrupted
 //!   result, bit for bit.
-//! - [`epoch`] — the [`EpochStore`]: a delta-updated writer F-Box plus
-//!   immutable, numbered [`EpochSnapshot`] publications for readers.
+//! - [`epoch`] — the [`EpochStore`]: a writer F-Box and its pending
+//!   cells, applied at publish into immutable, numbered
+//!   [`EpochSnapshot`] publications that share untouched posting lists.
 //! - [`snapshot`] — the `"FBXS"` cube snapshot file format
 //!   ([`CubeSnapshot`]) behind the repro binaries' `--cube <path>`.
 //!
@@ -43,7 +44,7 @@ pub mod segment;
 pub mod snapshot;
 
 pub use codec::CodecError;
-pub use epoch::{EpochSnapshot, EpochStore};
+pub use epoch::{EpochSnapshot, EpochStore, PublishStats};
 pub use ingest::{
     crawl_durable, crawl_durable_with_plan, study_durable, study_durable_with_plan, Durable,
 };

@@ -5,7 +5,7 @@
 //! ingestion and publishing happens concurrently. And the incremental
 //! path itself must be invisible in the output: a cube grown cell by cell
 //! through delta updates is bit-equal to one batch-built from the same
-//! observations.
+//! observations, however often a cell is rewritten before a publish.
 
 use fbox::core::algo::{Entity, RankOrder, Restriction};
 use fbox::core::model::{GroupId, LocationId, QueryId};
@@ -124,4 +124,39 @@ fn incremental_ingestion_matches_batch_build_bit_for_bit() {
         published.fbox().cube().get(GroupId(0), QueryId(0), LocationId(0)).is_some()
             || published.fbox().cube().coverage() > 0.0
     );
+}
+
+#[test]
+fn rewrites_within_an_epoch_publish_only_the_last_write() {
+    let m = marketplace();
+    let (universe, observations, _) = crawl(&m);
+    let batch = FBox::from_market(universe.clone(), &observations, MarketMeasure::exposure());
+    let cells: Vec<_> = observations.cells().collect();
+    let (first_q, first_l) = cells[0].0;
+
+    let store = EpochStore::new(universe);
+    // Every cell is first written with another cell's ranking, then
+    // cleared, then written with its own: only the last write counts.
+    for (i, &((q, l), ranking)) in cells.iter().enumerate() {
+        let wrong = cells[(i + 1) % cells.len()].1;
+        store.ingest_market(q, l, Some(wrong), MarketMeasure::exposure());
+        store.ingest_market(q, l, None, MarketMeasure::exposure());
+        store.ingest_market(q, l, Some(ranking), MarketMeasure::exposure());
+    }
+    assert_eq!(store.dirty_cells(), 3 * cells.len() as u64, "every ingest is counted");
+    let published = store.publish();
+    assert_eq!(store.dirty_cells(), 0);
+    assert_eq!(published.stats().cells_applied, cells.len() as u64, "each cell applied once");
+    assert_cubes_bit_identical(batch.cube(), published.fbox().cube(), "rewritten vs batch");
+    assert_eq!(read_surface(&batch), read_surface(published.fbox()));
+
+    // Clearing a cell and refilling it within one epoch is a no-op: the
+    // next epoch applies the cell but copies no list.
+    let ranking = observations.get(first_q, first_l).expect("first cell observed");
+    store.ingest_market(first_q, first_l, None, MarketMeasure::exposure());
+    store.ingest_market(first_q, first_l, Some(ranking), MarketMeasure::exposure());
+    let again = store.publish();
+    assert_eq!(again.stats().cells_applied, 1);
+    assert_eq!(again.stats().lists_cloned, 0);
+    assert_cubes_bit_identical(batch.cube(), again.fbox().cube(), "clear + refill vs batch");
 }

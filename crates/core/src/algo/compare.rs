@@ -143,7 +143,7 @@ pub fn compare_sets(
     assert!(!set1.is_empty() && !set2.is_empty(), "comparison sets must be non-empty");
     assert!(set1.iter().all(|e| !set2.contains(e)), "comparison sets must be disjoint");
     assert_ne!(breakdown, cmp_dim, "breakdown dimension must differ from the comparison dimension");
-    let _span = fbox_telemetry::span!("algo.compare");
+    let _span = fbox_telemetry::span("algo.compare");
     let mut cells_read = 0u64;
 
     // The remaining dimension: not compared, not broken down — aggregated.

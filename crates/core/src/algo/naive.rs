@@ -8,7 +8,6 @@
 use super::{topk::RankOrder, OrdF64, Restriction, TopKResult, TopKStats};
 use crate::cube::UnfairnessCube;
 use crate::index::Dimension;
-use crate::model::{GroupId, LocationId, QueryId};
 
 /// Full-scan top-k over a cube: the `k` entities of `dim` with the highest
 /// (or lowest) average unfairness over the other two (restricted)
@@ -21,28 +20,38 @@ pub fn naive_top_k(
     order: RankOrder,
     restrict: &Restriction,
 ) -> TopKResult {
-    let _span = fbox_telemetry::span!("algo.naive");
-    let _trace = fbox_trace::span("algo.naive");
+    let _span = fbox_telemetry::span("algo.naive");
     let mut stats = TopKStats::default();
     let entities = restrict.resolve(dim, dim_len(cube, dim));
     let (da, db) = dim.others();
     let ents_a = restrict.resolve(da, dim_len(cube, da));
     let ents_b = restrict.resolve(db, dim_len(cube, db));
+    // Offset strides of (e, a, b) in the cube's (g, q, l) row-major layout,
+    // so the scan below is a plain indexed sum with no per-cell dispatch.
+    let (nq, nl) = (cube.n_queries(), cube.n_locations());
+    let (se, sa, sb) = match dim {
+        Dimension::Group => (nq * nl, nl, 1),
+        Dimension::Query => (nl, nq * nl, 1),
+        Dimension::Location => (1, nq * nl, nl),
+    };
+    let data = cube.raw_data();
+    let per_entity = (ents_a.len() * ents_b.len()) as u64;
 
     let mut aggregates: Vec<(u32, f64)> = Vec::with_capacity(entities.len());
     for &e in &entities {
         let mut sum = 0.0;
         let mut n = 0usize;
         for &a in &ents_a {
+            let row = e as usize * se + a as usize * sa;
             for &b in &ents_b {
-                stats.random_accesses += 1;
-                stats.cells_scanned += 1;
-                if let Some(v) = cell(cube, dim, e, a, b) {
+                if let Some(v) = data[row + b as usize * sb] {
                     sum += v;
                     n += 1;
                 }
             }
         }
+        stats.random_accesses += per_entity;
+        stats.cells_scanned += per_entity;
         if n > 0 {
             aggregates.push((e, sum / n as f64));
         }
@@ -69,19 +78,10 @@ fn dim_len(cube: &UnfairnessCube, dim: Dimension) -> usize {
     }
 }
 
-/// Reads `d⟨·⟩` with `e` in dimension `dim` and `(a, b)` the other two
-/// dimensions in canonical order.
-fn cell(cube: &UnfairnessCube, dim: Dimension, e: u32, a: u32, b: u32) -> Option<f64> {
-    match dim {
-        Dimension::Group => cube.get(GroupId(e), QueryId(a), LocationId(b)),
-        Dimension::Query => cube.get(GroupId(a), QueryId(e), LocationId(b)),
-        Dimension::Location => cube.get(GroupId(a), QueryId(b), LocationId(e)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{GroupId, LocationId, QueryId};
 
     fn cube() -> UnfairnessCube {
         let mut c = UnfairnessCube::with_dims(3, 2, 2);

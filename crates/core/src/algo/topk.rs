@@ -94,8 +94,7 @@ pub fn top_k(
     if !indices.is_complete() {
         return top_k_partial(indices, dim, k, order, restrict);
     }
-    let _span = fbox_telemetry::span!("algo.ta");
-    let _trace = fbox_trace::span("algo.ta");
+    let _span = fbox_telemetry::span("algo.ta");
     let mut stats = TopKStats::default();
 
     let (da, db) = dim.others();
@@ -249,8 +248,7 @@ fn top_k_partial(
     order: RankOrder,
     restrict: &Restriction,
 ) -> TopKResult {
-    let _span = fbox_telemetry::span!("algo.ta");
-    let _trace = fbox_trace::span("algo.ta");
+    let _span = fbox_telemetry::span("algo.ta");
     let mut stats = TopKStats::default();
 
     let (da, db) = dim.others();

@@ -43,8 +43,7 @@ impl FBox {
         observations: &SearchObservations,
         measure: SearchMeasure,
     ) -> Self {
-        let _span = fbox_telemetry::span!("fbox.from_search");
-        let _trace = fbox_trace::span("fbox.from_search");
+        let _span = fbox_telemetry::span("fbox.from_search");
         Self::build(universe, observations.cells().collect(), measure)
     }
 
@@ -61,8 +60,7 @@ impl FBox {
         observations: &MarketObservations,
         measure: MarketMeasure,
     ) -> Self {
-        let _span = fbox_telemetry::span!("fbox.from_market");
-        let _trace = fbox_trace::span("fbox.from_market");
+        let _span = fbox_telemetry::span("fbox.from_market");
         Self::build(universe, observations.cells().collect(), measure)
     }
 
@@ -201,7 +199,7 @@ impl FBox {
         order: RankOrder,
         restrict: &Restriction,
     ) -> TopKResult {
-        let _span = fbox_telemetry::span!("fbox.top_k");
+        let _span = fbox_telemetry::span("fbox.top_k");
         if self.indices.is_complete() {
             algo::top_k(&self.indices, dim, k, order, restrict)
         } else {
@@ -276,16 +274,16 @@ impl FBox {
     }
 }
 
-/// Opens the per-cell trace span of the cube build loops. Inside the
-/// parallel builds it runs under the worker's `par.task` span, so the
-/// trace tree reads build → task → cell regardless of thread count.
+/// Opens the per-cell span of the cube build loops. Inside the parallel
+/// builds it runs under the worker's `par.task` span, so the trace tree
+/// reads build → task → cell regardless of thread count.
 fn cell_span(
     q: QueryId,
     l: LocationId,
     platform: &'static str,
     measure_label: &str,
-) -> fbox_trace::SpanGuard {
-    fbox_trace::span_args("cube.cell", |a| {
+) -> fbox_telemetry::Span {
+    fbox_telemetry::span_args("cube.cell", |a| {
         a.u64("q", u64::from(q.0));
         a.u64("l", u64::from(l.0));
         a.str("platform", platform);
@@ -294,7 +292,7 @@ fn cell_span(
 }
 
 /// The one per-cell routine of the batch build and of
-/// [`FBox::evaluate_cell`]: opens the cell's trace span and evaluates every
+/// [`FBox::evaluate_cell`]: opens the cell's span and evaluates every
 /// group through the measure's shared-work evaluator, with per-group
 /// telemetry, returning the cell's values in group-id order (all `None`
 /// for a cleared cell). Runs inside a [`fbox_par`] worker during builds.

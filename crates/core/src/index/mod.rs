@@ -86,7 +86,7 @@ fn build_family(
     pairs: &[(u32, u32)],
     list_for: impl Fn(u32, u32) -> PostingList + Sync,
 ) -> Vec<Arc<PostingList>> {
-    let _trace = fbox_trace::span_args("index.family", |a| {
+    let _span = fbox_telemetry::span_args("index.family", |a| {
         a.str("family", family);
         a.u64("lists", pairs.len() as u64);
     });
@@ -119,8 +119,7 @@ impl IndexSet {
 
     /// [`Self::build`] without the copy: the set takes ownership of `cube`.
     pub(crate) fn from_cube(cube: UnfairnessCube) -> Self {
-        let _span = fbox_telemetry::span!("index.build");
-        let _trace = fbox_trace::span("index.build");
+        let _span = fbox_telemetry::span("index.build");
         let (ng, nq, nl) = (cube.n_groups(), cube.n_queries(), cube.n_locations());
         let at = |g, q, l| cube.get(GroupId(g), QueryId(q), LocationId(l));
         let group_lists = build_family("group", &pair_grid(nq, nl), |q, l| {

@@ -184,8 +184,7 @@ pub fn attach_platform_scores(
     universe: &Universe,
     observations: &MarketObservations,
 ) -> MarketObservations {
-    let _span = fbox_telemetry::span!("marketplace.attach_scores");
-    let _trace = fbox_trace::span("marketplace.attach_scores");
+    let _span = fbox_telemetry::span("marketplace.attach_scores");
     let mut cells: Vec<(
         (fbox_core::model::QueryId, fbox_core::model::LocationId),
         &MarketRanking,
@@ -236,6 +235,35 @@ struct PlannedCell {
     plan: fbox_resilience::CellPlan,
 }
 
+/// Planning pass, sequential and in grid order: computes each cell's
+/// fault trajectory and drives the per-city breakers. No query runs
+/// here — every decision is plan-determined, which is what makes the
+/// breaker's order-sensitivity compatible with the parallel fan-out
+/// of [`crawl_with_sink`]. Returns the plan and the breakers' end state.
+fn plan_crawl(
+    resilience: &Resilience,
+    queries: &[&str],
+) -> (Vec<PlannedCell>, Vec<CircuitBreaker>) {
+    let _span = fbox_telemetry::span("crawl.plan");
+    let mut breakers: Vec<CircuitBreaker> = city::CITIES
+        .iter()
+        .map(|c| CircuitBreaker::with_label(resilience.breaker, c.name))
+        .collect();
+    let mut planned = Vec::with_capacity(queries.len() * city::CITIES.len());
+    for (flat_q, query_name) in queries.iter().enumerate() {
+        for (ci, c) in city::CITIES.iter().enumerate() {
+            let key = hash::cell_key("marketplace.crawl", query_name, c.name);
+            let admitted = breakers[ci].admit();
+            let plan = resilience.plan_cell(key);
+            if admitted {
+                breakers[ci].record(!plan.is_failure());
+            }
+            planned.push(PlannedCell { flat_q, ci, admitted, plan });
+        }
+    }
+    (planned, breakers)
+}
+
 /// Crawls the grid under an explicit [`Resilience`] configuration,
 /// recording every resolved cell in `journal`.
 ///
@@ -265,37 +293,13 @@ pub fn crawl_with_sink(
     journal: &mut CrawlJournal,
     sink: &mut dyn FnMut(u64, &CellRecord),
 ) -> CrawlRun {
-    let _span = fbox_telemetry::span!("marketplace.crawl");
-    let _trace = fbox_trace::span("marketplace.crawl");
+    let _span = fbox_telemetry::span("marketplace.crawl");
     let universe = taskrabbit_universe();
 
     // Canonical grid: sub-query-major over the 56 cities.
     let queries: Vec<&str> = jobs::all_queries().map(|(_, _, name)| name).collect();
-    let n_cities = city::CITIES.len();
 
-    // Planning pass, sequential and in grid order: compute each cell's
-    // fault trajectory and drive the per-city breakers. No query runs
-    // here — every decision is plan-determined, which is what makes the
-    // breaker's order-sensitivity compatible with the parallel fan-out
-    // below.
-    let plan_trace = fbox_trace::span("crawl.plan");
-    let mut breakers: Vec<CircuitBreaker> = city::CITIES
-        .iter()
-        .map(|c| CircuitBreaker::with_label(resilience.breaker, c.name))
-        .collect();
-    let mut planned = Vec::with_capacity(queries.len() * n_cities);
-    for (flat_q, query_name) in queries.iter().enumerate() {
-        for (ci, c) in city::CITIES.iter().enumerate() {
-            let key = hash::cell_key("marketplace.crawl", query_name, c.name);
-            let admitted = breakers[ci].admit();
-            let plan = resilience.plan_cell(key);
-            if admitted {
-                breakers[ci].record(!plan.is_failure());
-            }
-            planned.push(PlannedCell { flat_q, ci, admitted, plan });
-        }
-    }
-    drop(plan_trace);
+    let (planned, breakers) = plan_crawl(resilience, &queries);
 
     // Work list: unresolved cells in grid order, truncated at the
     // configured interrupt point (counting only cells that execute a
@@ -324,7 +328,7 @@ pub fn crawl_with_sink(
     // workers. Results merge back by work-list index, so completion order
     // cannot matter.
     let pages: Vec<Option<MarketRanking>> = fbox_par::par_map(&work, |&(_, cell)| {
-        let _cell_trace = fbox_trace::span_args("crawl.cell", |a| {
+        let _cell_span = fbox_telemetry::span_args("crawl.cell", |a| {
             a.str("query", queries[cell.flat_q]);
             a.str("city", city::CITIES[cell.ci].name);
         });

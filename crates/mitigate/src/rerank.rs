@@ -136,15 +136,15 @@ impl RerankTelemetry {
     }
 }
 
-/// Opens the per-cell trace span of the re-ranking fan-out; nests under
+/// Opens the per-cell span of the re-ranking fan-out; nests under
 /// the worker's `par.task` span like `cube.cell` does.
 fn rerank_span(
     q: QueryId,
     l: LocationId,
     platform: &'static str,
     intervention: Intervention,
-) -> fbox_trace::SpanGuard {
-    fbox_trace::span_args("mitigate.rerank", |a| {
+) -> fbox_telemetry::Span {
+    fbox_telemetry::span_args("mitigate.rerank", |a| {
         a.u64("q", u64::from(q.0));
         a.u64("l", u64::from(l.0));
         a.str("platform", platform);
@@ -179,8 +179,7 @@ pub fn rerank_market(
     intervention: Intervention,
     config: &RerankConfig,
 ) -> MarketRerank {
-    let _span = fbox_telemetry::span!("mitigate.rerank_market");
-    let _trace = fbox_trace::span("mitigate.rerank_market");
+    let _span = fbox_telemetry::span("mitigate.rerank_market");
     let telemetry = RerankTelemetry::new("market", intervention);
 
     let schema = universe.schema();
@@ -284,8 +283,7 @@ pub fn rerank_search(
     intervention: Intervention,
     config: &RerankConfig,
 ) -> SearchRerank {
-    let _span = fbox_telemetry::span!("mitigate.rerank_search");
-    let _trace = fbox_trace::span("mitigate.rerank_search");
+    let _span = fbox_telemetry::span("mitigate.rerank_search");
     let _ = universe; // signature symmetry with `rerank_market`
     let telemetry = RerankTelemetry::new("search", intervention);
 

@@ -166,8 +166,7 @@ fn search_profiles() -> Vec<(&'static str, PersonalizationProfile)> {
 /// (measure × intervention × bias profile) grid on both platforms.
 #[must_use = "the grid cells are the experiment's output"]
 pub fn grid() -> Vec<MitigationCell> {
-    let _span = fbox_telemetry::span!("repro.mitigate_grid");
-    let _trace = fbox_trace::span("repro.mitigate_grid");
+    let _span = fbox_telemetry::span("repro.mitigate_grid");
     let config = RerankConfig::default();
     let mut cells = Vec::new();
     for (profile, bias) in market_profiles() {

@@ -268,8 +268,7 @@ pub fn run_study_journaled(
     journal: &mut StudyJournal,
     sink: &mut dyn FnMut(u64, &ParticipantRecord),
 ) -> StudyRun {
-    let _span = fbox_telemetry::span!("search.run_study");
-    let _trace = fbox_trace::span("search.run_study");
+    let _span = fbox_telemetry::span("search.run_study");
     let universe = google_universe();
     let mut participants = Vec::new();
     let mut user_id = 0u64;
@@ -314,7 +313,7 @@ pub fn run_study_journaled(
         // deliberately not advanced by retry backoff: fault injection must
         // stay orthogonal to the engine's noise model, or the fault seed
         // would leak into the *content* of recovered pages.
-        let _participant_trace = fbox_trace::span_args("study.participant", |a| {
+        let _participant_span = fbox_telemetry::span_args("study.participant", |a| {
             a.u64("uid", participant.uid);
             a.str("location", participant.location);
         });

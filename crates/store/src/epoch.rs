@@ -141,7 +141,7 @@ impl EpochStore {
     /// new immutable epoch, publishes it, and returns it. Readers holding
     /// earlier epochs are unaffected.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
-        let _trace = fbox_trace::span("store.epoch.publish");
+        let _span = fbox_telemetry::span("store.epoch.publish");
         let snapshot = {
             let mut state = self.state.lock().expect("epoch store writer poisoned");
             let pending = std::mem::take(&mut state.pending);

@@ -58,7 +58,7 @@ pub fn crawl_durable_with_plan(
     path: &Path,
     plan: StoragePlan,
 ) -> io::Result<Durable<CrawlRun>> {
-    let _trace = fbox_trace::span("store.ingest.crawl");
+    let _span = fbox_telemetry::span("store.ingest.crawl");
     let (mut log, payloads, replay) = SegmentLog::open_with_plan(path, plan)?;
 
     let mut journal = CrawlJournal::new();
@@ -107,7 +107,7 @@ pub fn study_durable_with_plan(
     path: &Path,
     plan: StoragePlan,
 ) -> io::Result<Durable<StudyRun>> {
-    let _trace = fbox_trace::span("store.ingest.study");
+    let _span = fbox_telemetry::span("store.ingest.study");
     let (mut log, payloads, replay) = SegmentLog::open_with_plan(path, plan)?;
 
     let mut journal = StudyJournal::new();

@@ -107,7 +107,7 @@ impl SegmentLog {
         path: &Path,
         plan: StoragePlan,
     ) -> io::Result<(Self, Vec<Vec<u8>>, ReplayStats)> {
-        let _trace = fbox_trace::span("store.segment.open");
+        let _span = fbox_telemetry::span("store.segment.open");
         let generation = bump_generation(path)?;
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,

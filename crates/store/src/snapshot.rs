@@ -140,7 +140,7 @@ impl CubeSnapshot {
     }
 
     /// Deserializes a snapshot, verifying magic, version, and checksum
-    /// before decoding the body.
+    /// before decoding the body. Never panics: a non-canonical body is an error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let n = bytes.len();
         if n < 16 {
@@ -173,6 +173,9 @@ impl CubeSnapshot {
         for _ in 0..n_meta {
             let k = r.str()?.to_string();
             let v = r.str()?.to_string();
+            if meta.last_key_value().is_some_and(|(prev, _)| *prev >= k) {
+                return Err(CodecError::Invalid("metadata keys not in order"));
+            }
             meta.insert(k, v);
         }
         r.finish()?;
@@ -182,7 +185,7 @@ impl CubeSnapshot {
     /// Saves the snapshot atomically: writes `<path>.tmp`, then renames
     /// into place.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let _trace = fbox_trace::span("store.snapshot.save");
+        let _span = fbox_telemetry::span("store.snapshot.save");
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
@@ -192,7 +195,7 @@ impl CubeSnapshot {
 
     /// Loads and verifies a snapshot from disk.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let _trace = fbox_trace::span("store.snapshot.load");
+        let _span = fbox_telemetry::span("store.snapshot.load");
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes).map_err(Into::into)
     }
@@ -244,10 +247,14 @@ fn decode_universe(r: &mut Reader<'_>) -> Result<Universe, CodecError> {
         for _ in 0..n_values {
             values.push(r.str()?.to_string());
         }
+        let repeats = |i| values[..i].contains(&values[i]);
+        if (1..n_values).any(repeats) || attributes.iter().any(|(other, _)| *other == name) {
+            return Err(CodecError::Invalid("duplicate attribute name or value in snapshot"));
+        }
         attributes.push((name, values));
     }
-    // Re-validate through the constructors so a tampered body that passes
-    // the checksum still cannot build an inconsistent universe.
+    // The checks above leave the constructors' asserts nothing to catch:
+    // a tampered body that passes the checksum is an error, not a panic.
     let schema = Schema::new(
         attributes.into_iter().map(|(name, values)| Attribute::new(name, values)).collect(),
     );
@@ -263,6 +270,9 @@ fn decode_universe(r: &mut Reader<'_>) -> Result<Universe, CodecError> {
             let attr_ok = (a.0 as usize) < universe.schema().len();
             if !attr_ok || (v.0 as usize) >= universe.schema().attribute(a).cardinality() {
                 return Err(CodecError::Invalid("group predicate outside the schema"));
+            }
+            if predicates.last().is_some_and(|&(prev, _)| prev >= a) {
+                return Err(CodecError::Invalid("group predicates not in attribute order"));
             }
             predicates.push((a, v));
         }
@@ -308,11 +318,20 @@ fn decode_cube(r: &mut Reader<'_>, universe: &Universe) -> Result<UnfairnessCube
     if (ng, nq, nl) != (universe.n_groups(), universe.n_queries(), universe.n_locations()) {
         return Err(CodecError::Invalid("cube dimensions disagree with snapshot universe"));
     }
+    // Each cell takes at least its tag byte: bound the allocation by that.
+    let cells = ng.checked_mul(nq).and_then(|n| n.checked_mul(nl)).unwrap_or(usize::MAX);
+    if cells > r.remaining() {
+        return Err(CodecError::UnexpectedEof { wanted: cells, have: r.remaining() });
+    }
     let mut cube = UnfairnessCube::with_dims(ng, nq, nl);
     for g in 0..ng as u32 {
         for q in 0..nq as u32 {
             for l in 0..nl as u32 {
-                cube.set_opt(GroupId(g), QueryId(q), LocationId(l), r.opt_f64()?);
+                let value = r.opt_f64()?;
+                if value.is_some_and(|v| !(0.0..=1.0).contains(&v)) {
+                    return Err(CodecError::Invalid("cube value outside [0, 1]"));
+                }
+                cube.set_opt(GroupId(g), QueryId(q), LocationId(l), value);
             }
         }
     }
@@ -431,5 +450,147 @@ mod tests {
         snap.insert_cube("c", replacement);
         assert_eq!(snap.cubes().len(), 1);
         assert_eq!(snap.cube("c").unwrap().get(GroupId(0), QueryId(0), LocationId(0)), Some(1.0));
+    }
+
+    /// Frames `body` as a snapshot file with a freshly computed checksum,
+    /// so decoding reaches the body.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(body);
+        out.extend_from_slice(&fnv1a(body).to_le_bytes());
+        out
+    }
+
+    /// A hand-built body: a schema, groups as `(attr, value)` predicate
+    /// lists, and no queries, locations, cubes or metadata.
+    fn body(attributes: &[(&str, &[&str])], groups: &[&[(u16, u16)]]) -> Vec<u8> {
+        let mut b = Vec::new();
+        codec::put_len(&mut b, attributes.len());
+        for (name, values) in attributes {
+            codec::put_str(&mut b, name);
+            codec::put_len(&mut b, values.len());
+            for value in *values {
+                codec::put_str(&mut b, value);
+            }
+        }
+        codec::put_len(&mut b, groups.len());
+        for predicates in groups {
+            codec::put_len(&mut b, predicates.len());
+            for &(a, v) in *predicates {
+                codec::put_u16(&mut b, a);
+                codec::put_u16(&mut b, v);
+            }
+        }
+        for _ in 0..4 {
+            codec::put_len(&mut b, 0);
+        }
+        b
+    }
+
+    fn invalid(body: &[u8]) -> Option<&'static str> {
+        match CubeSnapshot::from_bytes(&frame(body)) {
+            Err(CodecError::Invalid(what)) => Some(what),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn hand_built_bodies_decode() {
+        let b = body(&[("gender", &["M", "F"]), ("age", &["young"])], &[&[(0, 1), (1, 0)]]);
+        let snap = CubeSnapshot::from_bytes(&frame(&b)).unwrap();
+        assert_eq!(snap.universe().n_groups(), 1);
+        assert_eq!(snap.to_bytes(), frame(&b));
+    }
+
+    #[test]
+    fn duplicate_attribute_value_is_an_error() {
+        let b = body(&[("gender", &["M", "M"])], &[]);
+        assert_eq!(invalid(&b), Some("duplicate attribute name or value in snapshot"));
+    }
+
+    #[test]
+    fn duplicate_attribute_name_is_an_error() {
+        let b = body(&[("gender", &["M"]), ("gender", &["F"])], &[]);
+        assert_eq!(invalid(&b), Some("duplicate attribute name or value in snapshot"));
+    }
+
+    #[test]
+    fn group_label_naming_an_attribute_twice_is_an_error() {
+        let b = body(&[("gender", &["M", "F"])], &[&[(0, 0), (0, 1)]]);
+        assert_eq!(invalid(&b), Some("group predicates not in attribute order"));
+    }
+
+    #[test]
+    fn cube_larger_than_the_remaining_bytes_is_an_error() {
+        let mut u = Universe::new(Schema::new(vec![Attribute::new("gender", ["M"])]));
+        u.add_group(GroupLabel::new(vec![(AttrId(0), ValueId(0))]));
+        for i in 0..200 {
+            u.add_query(format!("q{i}"), None);
+            u.add_location(format!("l{i}"), None);
+        }
+        let mut b = Vec::new();
+        encode_universe(&mut b, &u);
+        codec::put_len(&mut b, 1);
+        codec::put_str(&mut b, "c");
+        for n in [1, 200, 200] {
+            codec::put_len(&mut b, n);
+        }
+        // Enough bytes for the dimensions to pass as lengths, far too few
+        // for 40 000 cells: refused before the cube is allocated.
+        b.resize(b.len() + 1000, 0);
+        assert!(matches!(
+            CubeSnapshot::from_bytes(&frame(&b)),
+            Err(CodecError::UnexpectedEof { wanted: 40_000, have: 1000 })
+        ));
+    }
+
+    #[test]
+    fn cube_value_outside_the_unit_interval_is_an_error() {
+        let good = snapshot().to_bytes();
+        let body = &good[8..good.len() - 8];
+        let at = body.windows(8).position(|w| w == 0.25f64.to_le_bytes()).unwrap();
+        for bad in [f64::NAN, -1e-320, 1.5, f64::INFINITY] {
+            let mut b = body.to_vec();
+            b[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert_eq!(invalid(&b), Some("cube value outside [0, 1]"), "value {bad}");
+        }
+    }
+
+    #[test]
+    fn checksummed_garbage_is_an_error_or_an_exact_round_trip() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let good = snapshot().to_bytes();
+        let good_body = &good[8..good.len() - 8];
+        let (mut decoded, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            let body: Vec<u8> = if case % 2 == 0 {
+                (0..next() % 256).map(|_| next() as u8).collect()
+            } else {
+                let mut b = good_body.to_vec();
+                for _ in 0..=next() % 3 {
+                    let bit = (next() % (b.len() as u64 * 8)) as usize;
+                    b[bit / 8] ^= 1 << (bit % 8);
+                }
+                b
+            };
+            let framed = frame(&body);
+            match CubeSnapshot::from_bytes(&framed) {
+                Ok(snap) => {
+                    assert_eq!(snap.to_bytes(), framed, "case {case}: decoded but not canonical");
+                    decoded += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Flips in cell values and names decode; the rest are rejected.
+        assert!(decoded > 0 && rejected > 0, "decoded {decoded}, rejected {rejected}");
     }
 }

@@ -8,8 +8,11 @@
 //! - a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and log₂-bucketed
 //!   duration [`Histogram`]s, global ([`global()`]) or scoped
 //!   ([`Registry::new`]);
-//! - RAII **span guards** ([`span!`]) recording nested wall-clock timings
-//!   with per-span call counts;
+//! - one RAII **span** per pipeline stage ([`span()`] / [`span_args`]) that
+//!   feeds both the causal trace of `fbox-trace` and the duration
+//!   histogram of the same name, so `--metrics` and `--trace` see the same
+//!   span vocabulary; [`SpanGuard`] is its histogram-only half, for
+//!   scoped registries;
 //! - a [`Subscriber`] trait with two shipped sinks: a human-readable
 //!   [`TableSink`] and a serde-JSON [`JsonSink`] writing
 //!   `BENCH_*.json`-style trajectory snapshots;
@@ -18,11 +21,12 @@
 //!
 //! ## Overhead contract
 //!
-//! Everything is built on `std::sync::atomic` with **relaxed** ordering —
-//! counter increments are single relaxed RMW instructions. When telemetry
-//! is disabled (the default), [`span!`] guards are no-ops that never call
-//! `Instant::now`, and instrumented code paths cost one relaxed atomic
-//! load. There are **no external dependencies**.
+//! Everything is built on `std::sync::atomic`; counter increments are
+//! single relaxed RMW instructions. The enabled flag is one acquire load.
+//! When both telemetry and tracing are off (the default), a [`span()`]
+//! costs the two enabled-flag loads: it reads no clock, allocates nothing
+//! and does not run its args closure. The only dependencies are the serde
+//! shim (snapshots) and the zero-dependency `fbox-trace`.
 //!
 //! ## Quick example
 //!
@@ -32,7 +36,7 @@
 //! telemetry::set_enabled(true);
 //! let calls = telemetry::global().counter("demo.calls");
 //! {
-//!     let _span = telemetry::span!("demo.work");
+//!     let _span = telemetry::span("demo.work");
 //!     calls.add(3);
 //! }
 //! let snapshot = telemetry::global().snapshot();
@@ -54,31 +58,4 @@ pub use registry::{global, set_enabled, Registry};
 pub use report::{MetricDelta, Report};
 pub use sink::{JsonSink, Subscriber, TableSink};
 pub use snapshot::{BucketCount, GaugeEntry, HistogramSnapshot, MetricEntry, Snapshot};
-pub use span::{span_depth, SpanGuard};
-
-/// Opens a named RAII span on the [`global()`] registry.
-///
-/// When telemetry is disabled the guard is inert: no clock read, no
-/// allocation, one relaxed atomic load. When enabled, dropping the guard
-/// records the elapsed wall-clock time into the histogram named by the
-/// span (one histogram count per call — the per-span call count).
-///
-/// ```
-/// # fbox_telemetry::set_enabled(true);
-/// {
-///     let _guard = fbox_telemetry::span!("cube.market.cell");
-///     // ... timed work ...
-/// }
-/// # assert!(fbox_telemetry::global().snapshot().histogram("cube.market.cell").is_some());
-/// # fbox_telemetry::set_enabled(false);
-/// # fbox_telemetry::global().reset();
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::SpanGuard::enter($crate::global(), $name)
-    };
-    ($registry:expr, $name:expr) => {
-        $crate::SpanGuard::enter($registry, $name)
-    };
-}
+pub use span::{span, span_args, Span, SpanGuard};

@@ -98,7 +98,7 @@ fn get_or_insert<M: Clone>(map: &Mutex<BTreeMap<String, M>>, name: &str, new: fn
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
-/// The process-wide registry used by the bare [`span!`](crate::span!) form
+/// The process-wide registry fed by [`span`](crate::span())
 /// and the pipeline instrumentation.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(|| {

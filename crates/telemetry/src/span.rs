@@ -1,27 +1,14 @@
-//! RAII wall-clock spans. A [`SpanGuard`] opened on a disabled registry is
-//! inert: no clock read, no name lookup, no allocation — just one relaxed
-//! atomic load at construction. On an enabled registry, dropping the guard
-//! records the elapsed time into the histogram of the same name (so each
-//! histogram's `count` is the per-span call count).
+//! RAII wall-clock spans. A [`SpanGuard`] times its region into the
+//! histogram of the same name (so `count` is the per-span call count) and
+//! is inert on a disabled registry. [`span()`] pairs one with a
+//! `fbox-trace` span: the pipeline's one guard for both sinks.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use crate::metrics::Histogram;
-use crate::registry::Registry;
+use crate::registry::{global, Registry};
 
-thread_local! {
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Current nesting depth of live spans on this thread (0 outside any span).
-/// Disabled-registry guards do not contribute.
-pub fn span_depth() -> usize {
-    DEPTH.with(Cell::get)
-}
-
-/// Guard returned by [`span!`](crate::span!); records its lifetime's
-/// duration on drop.
+/// Histogram-only guard: records its lifetime's duration on drop.
 #[must_use = "a span measures the time until the guard is dropped"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -31,31 +18,44 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Opens a span named `name` on `registry`. Inert if the registry is
     /// disabled.
+    #[must_use = "a span measures the time until the guard is dropped"]
     pub fn enter(registry: &Registry, name: &str) -> SpanGuard {
-        if !registry.enabled() {
-            return SpanGuard { active: None };
-        }
-        DEPTH.with(|d| d.set(d.get() + 1));
-        SpanGuard { active: Some((registry.histogram(name), Instant::now())) }
+        let active = registry.enabled().then(|| (registry.histogram(name), Instant::now()));
+        SpanGuard { active }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((histogram, start)) = self.active.take() {
-            // The decrement must pair with `enter`'s increment even if
-            // `record` unwinds (or grows an early return): park it in
-            // its own drop guard so the depth cannot leak.
-            struct DepthDecrement;
-            impl Drop for DepthDecrement {
-                fn drop(&mut self) {
-                    DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-                }
-            }
-            let _decrement = DepthDecrement;
             histogram.record(start.elapsed());
         }
     }
+}
+
+/// One span feeding both sinks: the causal trace and the duration
+/// histogram of the same name. Returned by [`span()`] / [`span_args`].
+#[must_use = "the span closes when this guard drops"]
+pub struct Span {
+    // Fields drop in declaration order: the histogram records before the
+    // trace span's End event is pushed, so trace bookkeeping stays out of
+    // the measured duration.
+    _timing: SpanGuard,
+    _trace: fbox_trace::SpanGuard,
+}
+
+/// Opens a pipeline span named `name`; it closes when the guard drops.
+#[must_use = "the span closes when this guard drops"]
+pub fn span(name: &'static str) -> Span {
+    span_args(name, |_| {})
+}
+
+/// [`span`] with key-value trace args; `fill` runs only when tracing is
+/// on. The histogram is keyed by `name` alone.
+#[must_use = "the span closes when this guard drops"]
+pub fn span_args(name: &'static str, fill: impl FnOnce(&mut fbox_trace::Args)) -> Span {
+    let trace = fbox_trace::span_args(name, fill);
+    Span { _timing: SpanGuard::enter(global(), name), _trace: trace }
 }
 
 #[cfg(test)]
@@ -63,44 +63,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn depth_tracks_nesting_and_disabled_spans_are_inert() {
+    fn duration_is_recorded_when_unwinding_through_a_live_span() {
         let r = Registry::new();
-        assert_eq!(span_depth(), 0);
-        {
-            let _a = SpanGuard::enter(&r, "outer");
-            assert_eq!(span_depth(), 1);
-            {
-                let _b = SpanGuard::enter(&r, "inner");
-                assert_eq!(span_depth(), 2);
-            }
-            assert_eq!(span_depth(), 1);
-        }
-        assert_eq!(span_depth(), 0);
-
-        r.set_enabled(false);
-        {
-            let _c = SpanGuard::enter(&r, "off");
-            assert_eq!(span_depth(), 0);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("outer").map(|h| h.count), Some(1));
-        assert_eq!(snap.histogram("inner").map(|h| h.count), Some(1));
-        assert!(snap.histogram("off").is_none());
-    }
-
-    #[test]
-    fn depth_survives_unwind_through_live_spans() {
-        let r = Registry::new();
-        assert_eq!(span_depth(), 0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _span = SpanGuard::enter(&r, "doomed");
-            assert_eq!(span_depth(), 1);
             panic!("unwind through a live span");
         }));
         assert!(caught.is_err());
-        // The guard dropped during the unwind: depth is back to 0 and
-        // the duration was still recorded.
-        assert_eq!(span_depth(), 0, "depth must not leak on panic");
         assert_eq!(r.snapshot().histogram("doomed").map(|h| h.count), Some(1));
     }
 }

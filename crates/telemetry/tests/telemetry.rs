@@ -1,12 +1,12 @@
-//! Integration coverage for the telemetry crate: concurrency, span
-//! nesting, histogram bucketing, and snapshot serialization — exercised
-//! through the public API only.
+//! Integration coverage for the telemetry crate: concurrency, spans,
+//! histogram bucketing, and snapshot serialization — exercised through
+//! the public API only.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use fbox_telemetry::{Registry, Report, Snapshot, HISTOGRAM_BUCKETS};
+use fbox_telemetry::{Registry, Report, Snapshot, SpanGuard, HISTOGRAM_BUCKETS};
 
 #[test]
 fn concurrent_counter_increments_from_multiple_threads() {
@@ -75,25 +75,20 @@ fn concurrent_histogram_records_keep_count_and_sum() {
 }
 
 #[test]
-fn span_nesting_depth_tracks_scopes() {
+fn nested_spans_each_record_one_duration() {
     let registry = Registry::new();
-    assert_eq!(fbox_telemetry::span_depth(), 0);
     {
-        let _outer = fbox_telemetry::span!(&registry, "outer");
-        assert_eq!(fbox_telemetry::span_depth(), 1);
-        {
-            let _mid = fbox_telemetry::span!(&registry, "mid");
-            let _inner = fbox_telemetry::span!(&registry, "inner");
-            assert_eq!(fbox_telemetry::span_depth(), 3);
-        }
-        assert_eq!(fbox_telemetry::span_depth(), 1);
+        let _outer = SpanGuard::enter(&registry, "outer");
+        let _mid = SpanGuard::enter(&registry, "mid");
+        let inner = SpanGuard::enter(&registry, "inner");
+        thread::sleep(Duration::from_millis(1));
+        drop(inner);
     }
-    assert_eq!(fbox_telemetry::span_depth(), 0);
-
     let snapshot = registry.snapshot();
     for name in ["outer", "mid", "inner"] {
         let hist = snapshot.histogram(name).unwrap_or_else(|| panic!("span {name} recorded"));
         assert_eq!(hist.count, 1, "span {name} recorded once");
+        assert!(hist.sum_ns >= 1_000_000, "span {name} covers the sleep");
     }
 }
 
@@ -102,14 +97,51 @@ fn disabled_registry_records_nothing_and_spans_stay_inert() {
     let registry = Registry::new();
     registry.set_enabled(false);
     registry.counter("quiet.counter").add(7);
-    {
-        let _span = fbox_telemetry::span!(&registry, "quiet.span");
-        assert_eq!(fbox_telemetry::span_depth(), 0, "disabled spans do not nest");
-    }
+    drop(SpanGuard::enter(&registry, "quiet.span"));
     // Counter handles still work (callers may cache them across toggles)…
     assert_eq!(registry.snapshot().counter("quiet.counter"), Some(7));
     // …but no span histogram was materialized.
     assert!(registry.snapshot().histogram("quiet.span").is_none());
+}
+
+/// The only test here that touches the process-wide registry and tracer.
+#[test]
+fn pipeline_span_feeds_the_sink_that_is_on() {
+    let global = fbox_telemetry::global();
+    let traced_begins = |trace: &fbox_trace::Trace, name: &str| {
+        let begins = trace.events.iter().filter(|e| e.phase == fbox_trace::Phase::Begin);
+        begins.filter(|e| e.name == name).count()
+    };
+
+    // Both off: no histogram, no trace event, the args closure never runs.
+    global.set_enabled(false);
+    drop(fbox_telemetry::span_args("both.off", |_| panic!("args built while tracing is off")));
+    assert!(global.snapshot().histogram("both.off").is_none());
+
+    // Metrics only.
+    global.set_enabled(true);
+    drop(fbox_telemetry::span("metrics.only"));
+    global.set_enabled(false);
+    assert_eq!(global.snapshot().histogram("metrics.only").map(|h| h.count), Some(1));
+
+    // Trace only: the span carries its args, and no histogram appears.
+    fbox_trace::start(fbox_trace::Clock::Logical);
+    drop(fbox_telemetry::span_args("trace.only", |a| a.u64("n", 3)));
+    let trace = fbox_trace::finish();
+    assert_eq!(traced_begins(&trace, "trace.only"), 1);
+    assert_eq!(trace.events[0].args, vec![("n", fbox_trace::TraceValue::U64(3))]);
+    assert!(global.snapshot().histogram("trace.only").is_none());
+
+    // Both on: one Begin event and one histogram count per span.
+    global.set_enabled(true);
+    fbox_trace::start(fbox_trace::Clock::Logical);
+    for _ in 0..3 {
+        let _span = fbox_telemetry::span("both.on");
+    }
+    let trace = fbox_trace::finish();
+    global.set_enabled(false);
+    assert_eq!(traced_begins(&trace, "both.on"), 3);
+    assert_eq!(global.snapshot().histogram("both.on").map(|h| h.count), Some(3));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! # fbox-trace — causal structured tracing for the F-Box pipeline
 //!
 //! Zero-dependency tracing with per-thread lock-free buffers: recording
-//! an event is one relaxed atomic load plus a thread-local `Vec` push;
+//! an event is one acquire load plus a thread-local `Vec` push;
 //! buffers are drained only at [`finish`] (or spilled when a worker
 //! thread exits). Spans nest via a per-thread frame stack, and
 //! [`Fork`] carries the caller's span context across `fbox-par`
@@ -15,6 +15,9 @@
 //! - [`Clock::Wall`] — real timestamps for profiling; the only other
 //!   sanctioned `Instant::now()` reader besides `fbox-telemetry`
 //!   (see `Lint.toml`).
+//!
+//! Pipeline code opens spans through `fbox_telemetry::span`, which wraps
+//! [`span`] and also feeds the duration histogram of the same name.
 //!
 //! Two exports: [`Trace::to_chrome_json`] (Perfetto /
 //! `chrome://tracing`) and [`Trace::to_folded`] (collapsed stacks for

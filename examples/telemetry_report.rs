@@ -18,7 +18,7 @@ use fbox_telemetry::{Report, Snapshot, Subscriber, TableSink};
 fn main() {
     // 1. Turn the global registry on. Every instrumented layer — crawl,
     //    cube build, index build, top-k — starts recording; when this is
-    //    off (the default) the same code paths cost one atomic load.
+    //    off (the default) the same code paths read no clock.
     fbox_telemetry::set_enabled(true);
 
     // 2. A small marketplace: 600 workers over the full 56-city grid.

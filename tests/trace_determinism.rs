@@ -10,7 +10,8 @@
 
 use std::sync::Mutex;
 
-use fbox::core::algo::{RankOrder, Restriction};
+use fbox::core::algo::{Entity, RankOrder, Restriction};
+use fbox::core::model::GroupId;
 use fbox::marketplace::{
     crawl_resilient, BiasProfile, CrawlJournal, Marketplace, Population, ScoringModel,
 };
@@ -21,6 +22,7 @@ use fbox::search::noise::NoiseModel;
 use fbox::search::personalize::PersonalizationProfile;
 use fbox::search::study::{run_study, StudyDesign};
 use fbox::search::SearchEngine;
+use fbox::store::{CubeSnapshot, EpochStore};
 use fbox::trace;
 use fbox::{Dimension, FBox, SearchMeasure};
 
@@ -147,4 +149,78 @@ fn top_k_trace_records_threshold_and_early_termination() {
         });
         assert_eq!(reference, json, "FBOX_THREADS={threads}: top-k trace must be bit-identical");
     }
+}
+
+/// One span feeds both sinks: with metrics and a logical trace both on,
+/// every span name in the trace has a duration histogram whose call
+/// count equals that name's Begin events, across the study, cube build,
+/// top-k, compare, store publish and snapshot save/load.
+#[test]
+fn every_traced_span_has_a_histogram_with_matching_count() {
+    let _lock = locked();
+    let metrics = fbox_telemetry::global();
+    let path = std::env::temp_dir().join(format!("fbox-span-parity-{}.fbxs", std::process::id()));
+    for threads in [1usize, 2, 8] {
+        metrics.reset();
+        metrics.set_enabled(true);
+        trace::start(trace::Clock::Logical);
+        let loaded = with_threads(threads, || {
+            let design = StudyDesign { participants_per_group: 2, seed: 0xF0CA };
+            let engine =
+                SearchEngine::new(PersonalizationProfile::uniform(0.2), NoiseModel::none(), 3);
+            let runner = ExtensionRunner { repeats: 1, max_extra_runs: 0, ..Default::default() };
+            let (universe, obs, _) = run_study(&design, &engine, &runner);
+            let fb = FBox::from_search(universe.clone(), &obs, SearchMeasure::kendall());
+            let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &Restriction::none());
+            let _ = fb.compare(
+                Entity::Group(GroupId(0)),
+                Entity::Group(GroupId(1)),
+                Dimension::Location,
+                None,
+                &Restriction::none(),
+            );
+            let mut snapshot = CubeSnapshot::new(universe);
+            snapshot.insert_cube("search:kendall", fb.cube().clone());
+            let _ = EpochStore::with_fbox(fb).publish();
+            snapshot.save(&path).expect("snapshot saves");
+            CubeSnapshot::load(&path).expect("snapshot loads")
+        });
+        assert_eq!(loaded.cubes().len(), 1, "the saved cube loads back");
+        let events = trace::finish().events;
+        metrics.set_enabled(false);
+        let histograms = metrics.snapshot();
+
+        let mut begins = std::collections::BTreeMap::<&str, u64>::new();
+        for e in events.iter().filter(|e| e.phase == trace::Phase::Begin) {
+            *begins.entry(e.name).or_default() += 1;
+        }
+        // `par.task` is the fan-out branch `fbox-par` opens through
+        // `trace::Fork`; it is trace structure, not a pipeline stage.
+        begins.remove("par.task");
+        for name in [
+            "search.run_study",
+            "study.participant",
+            "fbox.from_search",
+            "cube.cell",
+            "index.build",
+            "index.family",
+            "fbox.top_k",
+            "algo.ta",
+            "algo.compare",
+            "store.epoch.publish",
+            "store.snapshot.save",
+            "store.snapshot.load",
+        ] {
+            assert!(begins.contains_key(name), "FBOX_THREADS={threads}: {name} traced");
+        }
+        for (name, n) in &begins {
+            assert_eq!(
+                histograms.histogram(name).map(|h| h.count),
+                Some(*n),
+                "FBOX_THREADS={threads}: histogram {name} counts every traced span"
+            );
+        }
+    }
+    std::fs::remove_file(&path).expect("snapshot file removed");
+    metrics.reset();
 }

@@ -17,11 +17,14 @@ use std::sync::Arc;
 
 /// The assembled fairness framework for one study.
 ///
-/// Cloning is cheap: the universe and the posting lists are shared, and
-/// only the cube is copied (see [`IndexSet`]).
+/// Cloning is cheap: the universe, its [`MeasureContext`] and the posting
+/// lists are shared, and only the cube is copied (see [`IndexSet`]).
 #[derive(Debug, Clone)]
 pub struct FBox {
     universe: Arc<Universe>,
+    /// The universe's group tables, resolved once: every
+    /// [`evaluate_cell`](Self::evaluate_cell) reads them.
+    ctx: Arc<MeasureContext>,
     indices: IndexSet,
 }
 
@@ -77,15 +80,13 @@ impl FBox {
         // shards counted and others not.
         let telemetry = CellTelemetry::new(M::PLATFORM, measure.label());
         cell_data.sort_unstable_by_key(|&((q, l), _)| (q.0, l.0));
-        let cube = {
-            let ctx = MeasureContext::new(&universe);
-            let shards = fbox_par::par_map(&cell_data, |&((q, l), cell)| {
-                evaluate_cell(&ctx, &telemetry, q, l, Some(cell), measure)
-            });
-            merge_shards(&universe, &cell_data, shards)
-        };
+        let ctx = MeasureContext::new(&universe);
+        let shards = fbox_par::par_map(&cell_data, |&((q, l), cell)| {
+            evaluate_cell(&ctx, &telemetry, q, l, Some(cell), measure)
+        });
+        let cube = merge_shards(&universe, &cell_data, shards);
         telemetry.finish_cube(&cube);
-        Self::from_cube(universe, cube)
+        Self::assemble(universe, ctx, cube)
     }
 
     /// Builds the F-Box from a pre-computed cube (e.g. deserialized from a
@@ -95,6 +96,11 @@ impl FBox {
     ///
     /// Panics if the cube's dimensions do not match the universe's.
     pub fn from_cube(universe: Universe, cube: UnfairnessCube) -> Self {
+        let ctx = MeasureContext::new(&universe);
+        Self::assemble(universe, ctx, cube)
+    }
+
+    fn assemble(universe: Universe, ctx: MeasureContext, cube: UnfairnessCube) -> Self {
         assert_eq!(cube.n_groups(), universe.n_groups(), "cube/universe group count mismatch");
         assert_eq!(cube.n_queries(), universe.n_queries(), "cube/universe query count mismatch");
         assert_eq!(
@@ -102,7 +108,11 @@ impl FBox {
             universe.n_locations(),
             "cube/universe location count mismatch"
         );
-        Self { universe: Arc::new(universe), indices: IndexSet::from_cube(cube) }
+        Self {
+            universe: Arc::new(universe),
+            ctx: Arc::new(ctx),
+            indices: IndexSet::from_cube(cube),
+        }
     }
 
     /// An F-Box over an empty cube: the starting point of incremental
@@ -141,7 +151,7 @@ impl FBox {
     /// The evaluate step of [`update_cell`](Self::update_cell): cell
     /// `(q, l)`'s value for every group, in group-id order (all `None`
     /// for a cleared cell), through the same per-cell routine as the
-    /// batch build.
+    /// batch build and against this F-Box's [`MeasureContext`].
     pub fn evaluate_cell<M: CellMeasure>(
         &self,
         q: QueryId,
@@ -149,8 +159,7 @@ impl FBox {
         cell: Option<&M::Cell>,
         measure: M,
     ) -> Vec<Option<f64>> {
-        let ctx = MeasureContext::new(&self.universe);
-        evaluate_cell(&ctx, &CellTelemetry::OFF, q, l, cell, measure)
+        evaluate_cell(&self.ctx, &CellTelemetry::OFF, q, l, cell, measure)
     }
 
     /// The apply step of [`update_cell`](Self::update_cell): writes
@@ -297,7 +306,7 @@ fn cell_span(
 /// telemetry, returning the cell's values in group-id order (all `None`
 /// for a cleared cell). Runs inside a [`fbox_par`] worker during builds.
 fn evaluate_cell<M: CellMeasure>(
-    ctx: &MeasureContext<'_>,
+    ctx: &MeasureContext,
     telemetry: &CellTelemetry,
     q: QueryId,
     l: LocationId,
@@ -305,7 +314,7 @@ fn evaluate_cell<M: CellMeasure>(
     measure: M,
 ) -> Vec<Option<f64>> {
     let _cell = cell_span(q, l, M::PLATFORM, measure.label());
-    let groups = ctx.universe().group_ids();
+    let groups = ctx.group_ids();
     let Some(cell) = cell else {
         return groups.map(|_| None).collect();
     };

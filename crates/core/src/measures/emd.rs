@@ -15,7 +15,8 @@
 //! internally and empty histograms yield `None` (an empty group has no
 //! score distribution to compare).
 
-use super::histogram::Histogram;
+use super::float::approx_zero;
+use super::histogram::{BinConfig, Histogram};
 
 /// Closed-form 1-D EMD between two histograms sharing a [`BinConfig`]
 /// (`Σ_i |CDF_a(i) − CDF_b(i)| · bin_width`), on unit-mass normalizations.
@@ -26,16 +27,10 @@ use super::histogram::Histogram;
 ///
 /// Panics if the histograms use different binning configurations — EMD
 /// between incompatible binnings is meaningless.
-///
-/// [`BinConfig`]: super::histogram::BinConfig
 pub fn emd_1d(a: &Histogram, b: &Histogram) -> Option<f64> {
     assert!(a.config() == b.config(), "emd_1d requires identical bin configurations");
-    let na = a.normalized()?;
-    let nb = b.normalized()?;
-    let ca = na.cumulative();
-    let cb = nb.cumulative();
-    let width = a.config().bin_width();
-    Some(ca.iter().zip(&cb).map(|(x, y)| (x - y).abs()).sum::<f64>() * width)
+    let (ca, cb) = (unit_cdf(a)?, unit_cdf(b)?);
+    Some(cdf_emd(&ca, &cb, a.config()))
 }
 
 /// [`emd_1d`] rescaled to `[0, 1]`: divided by the maximum possible EMD for
@@ -43,12 +38,47 @@ pub fn emd_1d(a: &Histogram, b: &Histogram) -> Option<f64> {
 /// `(bins − 1) · bin_width`). Single-bin histograms always compare equal.
 pub fn emd_1d_normalized(a: &Histogram, b: &Histogram) -> Option<f64> {
     let raw = emd_1d(a, b)?;
-    let cfg = a.config();
+    Some(rescale_emd(raw, a.config()))
+}
+
+/// The CDF of a non-empty histogram's unit-mass normalization.
+fn unit_cdf(h: &Histogram) -> Option<Vec<f64>> {
+    let mut cdf = h.counts().to_vec();
+    unit_cdf_in_place(&mut cdf, h.total()).then_some(cdf)
+}
+
+/// Turns per-bin masses summing to `total` into the CDF of their unit-mass
+/// normalization, bin by bin in bin order — the operand of [`cdf_emd`].
+/// Returns `false`, leaving `counts` as they are, when
+/// there is no mass ([`Histogram::is_empty`]). Callers keeping their own
+/// bin counts (the market cell evaluator) share this,
+/// [`cdf_emd`] and [`rescale_emd`], so their distances stay bit-identical
+/// to [`emd_1d_normalized`].
+pub(crate) fn unit_cdf_in_place(counts: &mut [f64], total: f64) -> bool {
+    if approx_zero(total) {
+        return false;
+    }
+    let mut acc = 0.0;
+    for c in counts {
+        acc += *c / total;
+        *c = acc;
+    }
+    true
+}
+
+/// [`emd_1d`] of two unit-mass CDFs over `cfg`: `Σ_i |a_i − b_i|` in bin
+/// order, times the bin width.
+pub(crate) fn cdf_emd(a: &[f64], b: &[f64], cfg: BinConfig) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() * cfg.bin_width()
+}
+
+/// Rescales a raw [`emd_1d`] value over `cfg` into `[0, 1]`.
+pub(crate) fn rescale_emd(raw: f64, cfg: BinConfig) -> f64 {
     if cfg.bins <= 1 {
-        return Some(0.0);
+        return 0.0;
     }
     let max = (cfg.bins - 1) as f64 * cfg.bin_width();
-    Some((raw / max).clamp(0.0, 1.0))
+    (raw / max).clamp(0.0, 1.0)
 }
 
 /// Exact EMD between two unit-mass distributions with an arbitrary ground
@@ -375,7 +405,6 @@ impl Ord for HeapEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measures::histogram::BinConfig;
 
     fn hist(values: &[f64]) -> Histogram {
         Histogram::from_values(BinConfig::unit(10), values.iter().copied())

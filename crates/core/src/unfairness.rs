@@ -13,8 +13,8 @@
 
 pub mod reference;
 
-use crate::measures::{self, exposure_unfairness, BinConfig, DiscountModel, Histogram};
-use crate::model::{GroupId, Universe};
+use crate::measures::{self, exposure_unfairness, BinConfig, DiscountModel};
+use crate::model::{AttrId, GroupId, Universe, ValueId};
 use crate::observations::{MarketRanking, UserList};
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +96,7 @@ pub trait CellMeasure: Copy + Sync {
     fn label(&self) -> &'static str;
 
     /// The evaluator over one cell's observations.
-    fn evaluator<'a>(self, ctx: &'a MeasureContext<'a>, cell: &'a Self::Cell) -> Self::Eval<'a>;
+    fn evaluator<'a>(self, ctx: &'a MeasureContext, cell: &'a Self::Cell) -> Self::Eval<'a>;
 }
 
 /// Evaluates `d⟨g,q,l⟩` group by group over one prepared cell.
@@ -107,7 +107,7 @@ pub trait CellEval {
 
 impl CellMeasure for SearchMeasure {
     type Cell = [UserList];
-    type Eval<'a> = SearchCellEval<'a, 'a>;
+    type Eval<'a> = SearchCellEval<'a>;
     const PLATFORM: &'static str = "search";
 
     fn label(&self) -> &'static str {
@@ -117,14 +117,14 @@ impl CellMeasure for SearchMeasure {
         }
     }
 
-    fn evaluator<'a>(self, ctx: &'a MeasureContext<'a>, lists: &'a [UserList]) -> Self::Eval<'a> {
+    fn evaluator<'a>(self, ctx: &'a MeasureContext, lists: &'a [UserList]) -> Self::Eval<'a> {
         SearchCellEval::new(ctx, lists, self)
     }
 }
 
 impl CellMeasure for MarketMeasure {
     type Cell = MarketRanking;
-    type Eval<'a> = MarketCellEval<'a, 'a>;
+    type Eval<'a> = MarketCellEval<'a>;
     const PLATFORM: &'static str = "market";
 
     fn label(&self) -> &'static str {
@@ -134,11 +134,7 @@ impl CellMeasure for MarketMeasure {
         }
     }
 
-    fn evaluator<'a>(
-        self,
-        ctx: &'a MeasureContext<'a>,
-        ranking: &'a MarketRanking,
-    ) -> Self::Eval<'a> {
+    fn evaluator<'a>(self, ctx: &'a MeasureContext, ranking: &'a MarketRanking) -> Self::Eval<'a> {
         MarketCellEval::new(ctx, ranking, self)
     }
 }
@@ -151,36 +147,150 @@ fn average(values: &[f64]) -> Option<f64> {
     }
 }
 
-/// The comparability structure of a universe — each group's comparable
-/// group ids — resolved once per cube build and shared read-only across
-/// the build workers.
-///
-/// The [`reference`] oracles re-resolve this per `(cell, group)` call (label lookups, hash probes, label-vector
-/// clones); over the 5,361-cell TaskRabbit grid that is ~59k redundant
-/// resolutions of an 11-row table. The context hoists it to one.
+/// Calls `f` with every group id in `set`, in increasing id order.
+#[inline]
+fn for_each_group(set: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in set.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// One attribute's membership table in a [`MeasureContext`].
 #[derive(Debug)]
-pub struct MeasureContext<'u> {
-    universe: &'u Universe,
+struct AttrRows {
+    /// Index of the attribute in an assignment.
+    attr: usize,
+    /// Values with a row of their own: one more than the largest value
+    /// any label fixes for this attribute.
+    values: usize,
+    /// Offset of this table in [`MeasureContext::rows`]: value `v`'s row
+    /// at `start + v · words`, then one *free* row, at `v = values`, for a
+    /// missing or unlisted value.
+    start: usize,
+}
+
+/// Everything about a universe's groups that a cell evaluation needs,
+/// resolved once per universe and shared read-only across the build
+/// workers (an [`FBox`](crate::FBox) keeps one for its lifetime):
+///
+/// - each group's comparable groups, as ids in reference order and as a
+///   group set;
+/// - a membership table: per attribute some label mentions, and per value
+///   of that attribute, the set of groups the value satisfies — the groups
+///   fixing that value plus the groups with no predicate on the
+///   attribute. The attribute's free row holds the latter alone and
+///   answers a missing (assignment too short) or unlisted value.
+///
+/// A group set is ⌈groups / 64⌉ `u64` words, bit `g` for group `g`, so
+/// any number of groups takes the one path. An individual's set is the AND
+/// of one row per table: [`GroupLabel::matches`] for every group at once,
+/// since a label matches iff each of its predicates agrees and an
+/// attribute no label mentions constrains no group. The evaluators resolve
+/// each individual's set once per cell, where the [`reference`] oracles
+/// match every label against every individual once per `(group,
+/// comparable)`.
+///
+/// [`GroupLabel::matches`]: crate::model::GroupLabel::matches
+#[derive(Debug)]
+pub struct MeasureContext {
+    n_groups: usize,
+    /// Words per group set.
+    words: usize,
     /// `comparables[g]` in the exact order [`Universe::comparable_group_ids`]
     /// returns, so cached evaluation visits groups in the reference order.
     comparables: Vec<Vec<GroupId>>,
+    /// `comparables[g]` as a group set, at `g · words`.
+    comparable_sets: Vec<u64>,
+    /// Every group: what `groups_of` starts from.
+    all: Vec<u64>,
+    tables: Vec<AttrRows>,
+    /// The rows of every table, `words` each.
+    rows: Vec<u64>,
 }
 
-impl<'u> MeasureContext<'u> {
-    /// Resolves the comparability structure of `universe`.
-    pub fn new(universe: &'u Universe) -> Self {
-        let comparables = universe.group_ids().map(|g| universe.comparable_group_ids(g)).collect();
-        Self { universe, comparables }
+impl MeasureContext {
+    /// Resolves the comparability structure and the membership table of
+    /// `universe`.
+    pub fn new(universe: &Universe) -> Self {
+        let n_groups = universe.n_groups();
+        let words = n_groups.div_ceil(64).max(1);
+        let labels: Vec<_> = universe.group_ids().map(|g| universe.group(g)).collect();
+        let set_of = |groups: &mut dyn Iterator<Item = usize>| {
+            let mut set = vec![0u64; words];
+            for g in groups {
+                set[g / 64] |= 1 << (g % 64);
+            }
+            set
+        };
+        let comparables: Vec<Vec<GroupId>> =
+            universe.group_ids().map(|g| universe.comparable_group_ids(g)).collect();
+        let comparable_sets =
+            comparables.iter().flat_map(|c| set_of(&mut c.iter().map(|g| g.0 as usize))).collect();
+        let all = set_of(&mut (0..n_groups));
+
+        // Per mentioned attribute, the largest value any label fixes.
+        let mut values = std::collections::BTreeMap::<usize, usize>::new();
+        for &(a, v) in labels.iter().flat_map(|l| l.predicates()) {
+            let n = values.entry(a.0 as usize).or_default();
+            *n = (*n).max(v.0 as usize + 1);
+        }
+        let (mut tables, mut rows) = (Vec::with_capacity(values.len()), Vec::new());
+        for (attr, values) in values {
+            let start = rows.len();
+            for v in 0..=values {
+                rows.extend(set_of(&mut labels.iter().enumerate().filter_map(|(g, l)| {
+                    match l.value_of(AttrId(attr as u16)) {
+                        Some(fixed) => (fixed.0 as usize == v).then_some(g),
+                        None => Some(g),
+                    }
+                })));
+            }
+            tables.push(AttrRows { attr, values, start });
+        }
+        Self { n_groups, words, comparables, comparable_sets, all, tables, rows }
     }
 
-    /// The underlying universe.
-    pub fn universe(&self) -> &'u Universe {
-        self.universe
+    /// All group ids, in id order.
+    pub(crate) fn group_ids(&self) -> impl Iterator<Item = GroupId> {
+        let n = self.comparables.len();
+        debug_assert!(n <= u32::MAX as usize, "group id space exhausted");
+        (0..n as u32).map(GroupId)
     }
 
     /// The comparable groups of `g`, in reference order.
     pub fn comparables(&self, g: GroupId) -> &[GroupId] {
         &self.comparables[g.0 as usize]
+    }
+
+    /// Writes into `out` (`words` long) the set of groups whose label
+    /// matches `assignment`: bit `g % 64` of word `g / 64` is set iff
+    /// `universe.group(g).matches(assignment)`.
+    fn groups_of(&self, assignment: &[ValueId], out: &mut [u64]) {
+        out.copy_from_slice(&self.all);
+        for t in &self.tables {
+            let v = assignment.get(t.attr).map_or(t.values, |v| (v.0 as usize).min(t.values));
+            let row = &self.rows[t.start + v * self.words..][..self.words];
+            for (o, r) in out.iter_mut().zip(row) {
+                *o &= r;
+            }
+        }
+    }
+
+    /// The group sets of a sequence of individuals, stored flat:
+    /// individual `i`'s set at `i · words`.
+    fn member_sets<'x>(
+        &self,
+        assignments: impl ExactSizeIterator<Item = &'x [ValueId]>,
+    ) -> Vec<u64> {
+        let mut sets = vec![0u64; assignments.len() * self.words];
+        for (a, out) in assignments.zip(sets.chunks_exact_mut(self.words)) {
+            self.groups_of(a, out);
+        }
+        sets
     }
 }
 
@@ -188,8 +298,10 @@ impl<'u> MeasureContext<'u> {
 /// registered group over one `(q, l)` sample, sharing work the per-group
 /// reference function recomputes —
 ///
-/// - group membership of each user list is decided once per `(group,
-///   list)` instead of once per `(group, comparable, list)`;
+/// - each user list's group set is resolved once from the
+///   [`MeasureContext`] and every group's member list is read off those
+///   sets, instead of matching every label against every list once per
+///   `(group, comparable)`;
 /// - pairwise list distances are memoized per **unordered** `(u, u')`
 ///   index pair in a dense `n × n` table. Overlapping groups (every user
 ///   is in a gender, an ethnicity, and a full lattice group) request many
@@ -203,8 +315,8 @@ impl<'u> MeasureContext<'u> {
 /// property suite: `eval.group(g)` is bit-for-bit identical to
 /// [`reference::search_cell_unfairness`]`(universe, lists, g, measure)`.
 #[derive(Debug)]
-pub struct SearchCellEval<'a, 'u> {
-    ctx: &'a MeasureContext<'u>,
+pub struct SearchCellEval<'a> {
+    ctx: &'a MeasureContext,
     lists: &'a [UserList],
     measure: SearchMeasure,
     /// Per group: indices into `lists` of its members, in list order.
@@ -214,26 +326,20 @@ pub struct SearchCellEval<'a, 'u> {
     distances: Vec<Option<f64>>,
 }
 
-impl<'a, 'u> SearchCellEval<'a, 'u> {
-    /// Prepares the evaluator: one membership pass per group.
-    pub fn new(ctx: &'a MeasureContext<'u>, lists: &'a [UserList], measure: SearchMeasure) -> Self {
-        let members = ctx
-            .universe
-            .group_ids()
-            .map(|g| {
-                let label = ctx.universe.group(g);
-                lists
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, u)| label.matches(&u.assignment).then_some(i as u32))
-                    .collect()
-            })
-            .collect();
+impl<'a> SearchCellEval<'a> {
+    /// Prepares the evaluator: one group set per list, then every group's
+    /// member list read off the sets.
+    pub fn new(ctx: &'a MeasureContext, lists: &'a [UserList], measure: SearchMeasure) -> Self {
+        let sets = ctx.member_sets(lists.iter().map(|u| u.assignment.as_slice()));
+        let mut members = vec![Vec::new(); ctx.n_groups];
+        for (i, set) in sets.chunks_exact(ctx.words).enumerate() {
+            for_each_group(set, |g| members[g].push(i as u32));
+        }
         Self { ctx, lists, measure, members, distances: vec![None; lists.len() * lists.len()] }
     }
 }
 
-impl CellEval for SearchCellEval<'_, '_> {
+impl CellEval for SearchCellEval<'_> {
     fn group(&mut self, g: GroupId) -> Option<f64> {
         let Self { ctx, lists, measure, members, distances } = self;
         let g_members = &members[g.0 as usize];
@@ -270,144 +376,150 @@ impl CellEval for SearchCellEval<'_, '_> {
 /// All-groups evaluator for one marketplace cell — the market counterpart
 /// of [`SearchCellEval`], sharing per-cell work across the group loop:
 ///
-/// - group membership of each ranked worker is decided once per group
-///   (the reference re-matches per comparable);
-/// - per-worker exposure (`model.exposure(rank)`, a log) and relevance
-///   are computed once per cell instead of once per group;
-/// - for EMD, each group's relevance histogram is built once and pairwise
-///   distances are memoized under an **unordered** key —
+/// - each ranked worker's group set is resolved once from the
+///   [`MeasureContext`]; the reference matches every label against every
+///   worker once per comparable;
+/// - for exposure, per-worker exposure (`model.exposure(rank)`, a log)
+///   and relevance are computed once per cell, and a worker is in a
+///   group's comparable pool iff its set meets the group's comparable set;
+/// - for EMD, one pass over the workers bins each worker's relevance once
+///   and counts it into every group of its set; each group's unit-mass CDF
+///   is then taken once, and pairwise distances are memoized in a dense
+///   `groups × groups` table under the **unordered** pair —
 ///   [`measures::emd_1d_normalized`] is bitwise symmetric (`|x − y|` per
 ///   bin in fixed bin order), so `(g, g')` and `(g', g)` share one entry.
 ///
+/// Every sum runs over the workers in rank order, as in the reference.
 /// Equivalence contract: `eval.group(g)` is bit-for-bit identical to
 /// [`reference::market_cell_unfairness`]`(universe, ranking, g, measure)`.
 #[derive(Debug)]
-pub struct MarketCellEval<'a, 'u> {
-    ctx: &'a MeasureContext<'u>,
-    measure: MarketMeasure,
-    /// `membership[g][i]`: whether ranked worker `i` is in group `g`.
-    membership: Vec<Vec<bool>>,
-    /// Per worker `model.exposure(rank)` (exposure measure only).
-    exposures: Vec<f64>,
-    /// Per worker relevance (exposure measure only).
-    relevances: Vec<f64>,
-    /// Per group relevance histogram (EMD measure only).
-    histograms: Vec<Histogram>,
-    /// Memoized normalized EMD keyed by unordered group id pair.
-    emd_cache: std::collections::HashMap<(u32, u32), Option<f64>>,
+pub struct MarketCellEval<'a> {
+    ctx: &'a MeasureContext,
+    tables: MarketTables,
 }
 
-impl<'a, 'u> MarketCellEval<'a, 'u> {
-    /// Prepares the evaluator: membership masks plus the per-measure
-    /// shared tables.
+/// The per-cell tables one market measure reads.
+#[derive(Debug)]
+enum MarketTables {
+    Exposure {
+        /// Per ranked worker, in rank order, its group set.
+        sets: Vec<u64>,
+        /// Per worker `model.exposure(rank)`.
+        exposures: Vec<f64>,
+        /// Per worker relevance.
+        relevances: Vec<f64>,
+    },
+    Emd {
+        bins: usize,
+        /// Per group, `bins` slots: the unit-mass relevance CDF, or the
+        /// all-zero counts of a group without mass.
+        cdfs: Vec<f64>,
+        /// Per group, whether it has relevance mass.
+        has_mass: Vec<bool>,
+        /// Normalized EMD of groups `(g, g')`, `g ≤ g'`, at
+        /// `g · groups + g'` once computed.
+        memo: Vec<Option<Option<f64>>>,
+    },
+}
+
+impl<'a> MarketCellEval<'a> {
+    /// Prepares the evaluator: the workers' group sets, then the tables
+    /// the measure reads.
     pub fn new(
-        ctx: &'a MeasureContext<'u>,
+        ctx: &'a MeasureContext,
         ranking: &'a MarketRanking,
         measure: MarketMeasure,
     ) -> Self {
-        let membership: Vec<Vec<bool>> = ctx
-            .universe
-            .group_ids()
-            .map(|g| {
-                let label = ctx.universe.group(g);
-                ranking.workers().iter().map(|w| label.matches(&w.assignment)).collect()
-            })
-            .collect();
-        let (mut exposures, mut relevances, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
-        match measure {
-            MarketMeasure::Exposure { model } => {
-                exposures = ranking.workers().iter().map(|w| model.exposure(w.rank)).collect();
-                relevances = (0..ranking.len()).map(|i| ranking.relevance(i)).collect();
-            }
+        let sets = ctx.member_sets(ranking.workers().iter().map(|w| w.assignment.as_slice()));
+        let tables = match measure {
+            MarketMeasure::Exposure { model } => MarketTables::Exposure {
+                sets,
+                exposures: ranking.workers().iter().map(|w| model.exposure(w.rank)).collect(),
+                relevances: (0..ranking.len()).map(|i| ranking.relevance(i)).collect(),
+            },
             MarketMeasure::Emd { bins } => {
                 let cfg = BinConfig::unit(bins);
-                histograms = membership
-                    .iter()
-                    .map(|mask| {
-                        let mut h = Histogram::empty(cfg);
-                        for (i, &in_g) in mask.iter().enumerate() {
-                            if in_g {
-                                h.add(ranking.relevance(i));
-                            }
-                        }
-                        h
-                    })
+                let n = ctx.n_groups;
+                let (mut counts, mut totals) = (vec![0.0; n * bins], vec![0.0; n]);
+                for (i, set) in sets.chunks_exact(ctx.words).enumerate() {
+                    let bin = cfg.bin_of(ranking.relevance(i));
+                    for_each_group(set, |g| {
+                        counts[g * bins + bin] += 1.0;
+                        totals[g] += 1.0;
+                    });
+                }
+                let has_mass = counts
+                    .chunks_exact_mut(bins)
+                    .zip(totals)
+                    .map(|(row, total)| measures::emd::unit_cdf_in_place(row, total))
                     .collect();
+                MarketTables::Emd { bins, cdfs: counts, has_mass, memo: vec![None; n * n] }
             }
-        }
-        Self {
-            ctx,
-            measure,
-            membership,
-            exposures,
-            relevances,
-            histograms,
-            emd_cache: std::collections::HashMap::new(),
-        }
-    }
-
-    fn group_emd(&mut self, g: GroupId) -> Option<f64> {
-        let g_hist = &self.histograms[g.0 as usize];
-        if g_hist.is_empty() {
-            return None;
-        }
-        let mut dists = Vec::new();
-        for &g_cmp in self.ctx.comparables(g) {
-            let key = (g.0.min(g_cmp.0), g.0.max(g_cmp.0));
-            let (histograms, emd_cache) = (&self.histograms, &mut self.emd_cache);
-            let d = *emd_cache.entry(key).or_insert_with(|| {
-                measures::emd_1d_normalized(
-                    &histograms[g.0 as usize],
-                    &histograms[g_cmp.0 as usize],
-                )
-            });
-            if let Some(d) = d {
-                dists.push(d);
-            }
-        }
-        average(&dists)
-    }
-
-    fn group_exposure(&self, g: GroupId) -> Option<f64> {
-        let comparables = self.ctx.comparables(g);
-        if comparables.is_empty() {
-            return None;
-        }
-        let g_mask = &self.membership[g.0 as usize];
-        let (mut g_exp, mut g_rel) = (0.0f64, 0.0f64);
-        let (mut pool_exp, mut pool_rel) = (0.0f64, 0.0f64);
-        let mut g_seen = false;
-        let mut cmp_seen = false;
-        for (i, &in_g) in g_mask.iter().enumerate() {
-            let in_cmp = comparables.iter().any(|&c| self.membership[c.0 as usize][i]);
-            if !in_g && !in_cmp {
-                continue;
-            }
-            let exp = self.exposures[i];
-            let rel = self.relevances[i];
-            pool_exp += exp;
-            pool_rel += rel;
-            if in_g {
-                g_exp += exp;
-                g_rel += rel;
-                g_seen = true;
-            }
-            if in_cmp {
-                cmp_seen = true;
-            }
-        }
-        if !g_seen || !cmp_seen {
-            return None;
-        }
-        exposure_unfairness(g_exp, pool_exp, g_rel, pool_rel)
+        };
+        Self { ctx, tables }
     }
 }
 
-impl CellEval for MarketCellEval<'_, '_> {
+impl CellEval for MarketCellEval<'_> {
     fn group(&mut self, g: GroupId) -> Option<f64> {
-        match self.measure {
-            MarketMeasure::Emd { .. } => self.group_emd(g),
-            MarketMeasure::Exposure { .. } => self.group_exposure(g),
+        let ctx = self.ctx;
+        let comparables = ctx.comparables(g);
+        let g = g.0 as usize;
+        match &mut self.tables {
+            MarketTables::Emd { bins, cdfs, has_mass, memo } => {
+                if !has_mass[g] {
+                    return None;
+                }
+                let (bins, cfg) = (*bins, BinConfig::unit(*bins));
+                let mut dists = Vec::new();
+                for &c in comparables {
+                    let c = c.0 as usize;
+                    let (lo, hi) = (g.min(c), g.max(c));
+                    let d = *memo[lo * ctx.n_groups + hi].get_or_insert_with(|| {
+                        has_mass[c].then(|| {
+                            let (a, b) = (&cdfs[lo * bins..][..bins], &cdfs[hi * bins..][..bins]);
+                            measures::emd::rescale_emd(measures::emd::cdf_emd(a, b, cfg), cfg)
+                        })
+                    });
+                    if let Some(d) = d {
+                        dists.push(d);
+                    }
+                }
+                average(&dists)
+            }
+            MarketTables::Exposure { sets, exposures, relevances } => {
+                if comparables.is_empty() {
+                    return None;
+                }
+                let cmp_set = &ctx.comparable_sets[g * ctx.words..][..ctx.words];
+                let (mut g_exp, mut g_rel) = (0.0f64, 0.0f64);
+                let (mut pool_exp, mut pool_rel) = (0.0f64, 0.0f64);
+                let mut g_seen = false;
+                let mut cmp_seen = false;
+                for (i, set) in sets.chunks_exact(ctx.words).enumerate() {
+                    let in_g = set[g / 64] >> (g % 64) & 1 == 1;
+                    let in_cmp = set.iter().zip(cmp_set).any(|(s, c)| s & c != 0);
+                    if !in_g && !in_cmp {
+                        continue;
+                    }
+                    let exp = exposures[i];
+                    let rel = relevances[i];
+                    pool_exp += exp;
+                    pool_rel += rel;
+                    if in_g {
+                        g_exp += exp;
+                        g_rel += rel;
+                        g_seen = true;
+                    }
+                    if in_cmp {
+                        cmp_seen = true;
+                    }
+                }
+                if !g_seen || !cmp_seen {
+                    return None;
+                }
+                exposure_unfairness(g_exp, pool_exp, g_rel, pool_rel)
+            }
         }
     }
 }

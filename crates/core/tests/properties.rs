@@ -7,8 +7,11 @@
 use fbox_core::algo::{compare, naive_top_k, top_k, Entity, RankOrder, Restriction};
 use fbox_core::index::{Dimension, IndexSet};
 use fbox_core::measures::{self, BinConfig, DiscountModel, Histogram};
-use fbox_core::model::{GroupId, LocationId, QueryId};
-use fbox_core::UnfairnessCube;
+use fbox_core::model::{AttrId, Attribute, GroupId, GroupLabel, LocationId, QueryId, ValueId};
+use fbox_core::observations::{MarketRanking, RankedWorker, UserList};
+use fbox_core::unfairness::reference::{market_cell_unfairness, search_cell_unfairness};
+use fbox_core::unfairness::{CellEval, CellMeasure, MarketMeasure, MeasureContext, SearchMeasure};
+use fbox_core::{Schema, UnfairnessCube, Universe};
 use proptest::prelude::*;
 
 /// Strategy: a complete cube with the given dimension bounds and values in
@@ -37,6 +40,81 @@ fn complete_cube(
 /// Values of a top-k result (the comparable part under ties).
 fn values(entries: &[(u32, f64)]) -> Vec<f64> {
     entries.iter().map(|&(_, v)| v).collect()
+}
+
+/// A universe over attributes of the given cardinalities: the full group
+/// lattice when `lattice` is set, plus `extra` labels. An extra label's
+/// attribute indices wrap into the schema (a label naming an attribute
+/// the schema lacks has no comparable groups to resolve), while its values
+/// may lie outside the attribute's domain; repeated attributes keep their
+/// first value, and an empty label matches everyone.
+fn universe(cards: &[u16], lattice: bool, extra: &[Vec<(u16, u16)>]) -> Universe {
+    let schema = Schema::new(
+        cards
+            .iter()
+            .enumerate()
+            .map(|(a, &n)| Attribute::new(format!("a{a}"), (0..n).map(|v| format!("v{v}"))))
+            .collect(),
+    );
+    let mut u = if lattice { Universe::with_all_groups(schema) } else { Universe::new(schema) };
+    for raw in extra {
+        let mut predicates: Vec<(AttrId, ValueId)> = Vec::new();
+        for &(a, v) in raw {
+            let a = AttrId(a % cards.len() as u16);
+            if predicates.iter().all(|&(b, _)| b != a) {
+                predicates.push((a, ValueId(v)));
+            }
+        }
+        u.add_group(GroupLabel::new(predicates));
+    }
+    u
+}
+
+fn assignment(raw: &[u16]) -> Vec<ValueId> {
+    raw.iter().map(|&v| ValueId(v)).collect()
+}
+
+/// A ranking of the given workers in order; a worker's score is dropped
+/// (rank-derived relevance) when its flag is 0.
+fn ranking(workers: &[(Vec<u16>, f64, u8)]) -> MarketRanking {
+    MarketRanking::new(
+        workers
+            .iter()
+            .enumerate()
+            .map(|(i, (a, score, flag))| RankedWorker {
+                assignment: assignment(a),
+                rank: i + 1,
+                score: (*flag != 0).then_some(*score),
+            })
+            .collect(),
+    )
+}
+
+fn user_lists(lists: &[(Vec<u16>, Vec<u64>)]) -> Vec<UserList> {
+    lists
+        .iter()
+        .map(|(a, results)| UserList { assignment: assignment(a), results: results.clone() })
+        .collect()
+}
+
+/// Every group of every measure, through the context's group sets,
+/// against the per-group reference oracles, bit for bit.
+fn assert_evaluators_match_reference(u: &Universe, ranking: &MarketRanking, lists: &[UserList]) {
+    let ctx = MeasureContext::new(u);
+    for m in [MarketMeasure::emd(), MarketMeasure::Emd { bins: 1 }, MarketMeasure::exposure()] {
+        let mut eval = m.evaluator(&ctx, ranking);
+        for g in u.group_ids() {
+            let want = market_cell_unfairness(u, ranking, g, m).map(f64::to_bits);
+            assert_eq!(eval.group(g).map(f64::to_bits), want, "{m:?} group {g:?}");
+        }
+    }
+    for m in [SearchMeasure::kendall(), SearchMeasure::JaccardDistance] {
+        let mut eval = m.evaluator(&ctx, lists);
+        for g in u.group_ids() {
+            let want = search_cell_unfairness(u, lists, g, m).map(f64::to_bits);
+            assert_eq!(eval.group(g).map(f64::to_bits), want, "{m:?} group {g:?}");
+        }
+    }
 }
 
 fn assert_close(a: &[f64], b: &[f64]) {
@@ -119,6 +197,34 @@ proptest! {
             let row_order = row.d1.partial_cmp(&row.d2).unwrap();
             prop_assert_eq!(row.reversed, row_order != overall_order);
         }
+    }
+
+    #[test]
+    fn cell_evaluators_match_reference_on_arbitrary_groups(
+        cards in proptest::collection::vec(1u16..=4, 1..=3),
+        lattice in 0u8..2,
+        extra in proptest::collection::vec(proptest::collection::vec((0u16..4, 0u16..6), 0..=3), 0..10),
+        workers in proptest::collection::vec((proptest::collection::vec(0u16..6, 0..=4), 0.0f64..=1.0, 0u8..3), 0..24),
+        lists in proptest::collection::vec((proptest::collection::vec(0u16..6, 0..=4), proptest::sample::subsequence((0u64..12).collect::<Vec<_>>(), 0..8).prop_shuffle()), 0..10),
+    ) {
+        // Assignments run shorter and longer than the schema and carry
+        // values outside its domains, as do the extra labels.
+        let u = universe(&cards, lattice == 1, &extra);
+        assert_evaluators_match_reference(&u, &ranking(&workers), &user_lists(&lists));
+    }
+
+    #[test]
+    fn cell_evaluators_match_reference_past_one_word_of_groups(
+        cards in proptest::collection::vec(4u16..=5, 3),
+        extra in proptest::collection::vec(proptest::collection::vec((0u16..3, 0u16..7), 0..=3), 0..6),
+        workers in proptest::collection::vec((proptest::collection::vec(0u16..7, 0..=4), 0.0f64..=1.0, 0u8..3), 0..40),
+        lists in proptest::collection::vec((proptest::collection::vec(0u16..7, 0..=4), proptest::sample::subsequence((0u64..12).collect::<Vec<_>>(), 0..8).prop_shuffle()), 0..12),
+    ) {
+        // Three attributes of 4–5 values: a lattice of at least 124
+        // groups, so every group set spans two or more words.
+        let u = universe(&cards, true, &extra);
+        prop_assert!(u.n_groups() > 64);
+        assert_evaluators_match_reference(&u, &ranking(&workers), &user_lists(&lists));
     }
 
     #[test]

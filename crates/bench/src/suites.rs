@@ -135,6 +135,17 @@ fn search_fixture() -> (Universe, SearchObservations) {
     (universe, obs)
 }
 
+/// `ratio × scale` as an integer gauge value, truncated toward zero as
+/// an `as` cast would; a non-finite value (a ratio over an empty timing
+/// histogram) records 0.
+fn gauge_units(ratio: f64, scale: f64) -> i64 {
+    let scaled = (ratio * scale).trunc();
+    if !scaled.is_finite() {
+        return 0;
+    }
+    scaled as i64
+}
+
 fn mean_ns(h: &fbox_telemetry::Histogram) -> f64 {
     h.sum().as_nanos() as f64 / h.count().max(1) as f64
 }
@@ -185,7 +196,7 @@ pub fn parallel_suite() -> ParallelOutcome {
 
     let speedup = mean_ns(&serial) / mean_ns(&parallel);
     // Gauges are integers; store the ratio ×100 (e.g. 2.37× → 237).
-    registry.gauge("cube.build.speedup_x100").set((speedup * 100.0) as i64);
+    registry.gauge("cube.build.speedup_x100").set(gauge_units(speedup, 100.0));
     registry.gauge("cube.build.threads").set(THREADS as i64);
 
     ParallelOutcome {
@@ -235,9 +246,9 @@ pub fn resilience_suite() -> ResilienceOutcome {
     registry.gauge("crawl.mild.truncated").set(stats.n_truncated as i64);
     registry.gauge("crawl.mild.backoff_virtual_ms").set(stats.backoff_virtual_ms as i64);
     // Gauges are integers; store the ratio ×1000 (e.g. 0.973 → 973).
-    registry.gauge("crawl.mild.coverage_x1000").set((stats.coverage * 1000.0) as i64);
+    registry.gauge("crawl.mild.coverage_x1000").set(gauge_units(stats.coverage, 1000.0));
     let overhead = mean_ns(&mild_h) / mean_ns(&inert_h);
-    registry.gauge("crawl.resilience.overhead_x100").set((overhead * 100.0) as i64);
+    registry.gauge("crawl.resilience.overhead_x100").set(gauge_units(overhead, 100.0));
 
     ResilienceOutcome {
         snapshot: registry.snapshot(),
@@ -316,7 +327,7 @@ pub fn lint_suite() -> LintOutcome {
 
     let speedup = mean_ns(&serial_h) / mean_ns(&parallel_h);
     // Gauges are integers; store the ratio ×100 (e.g. 1.84× → 184).
-    registry.gauge("lint.speedup_x100").set((speedup * 100.0) as i64);
+    registry.gauge("lint.speedup_x100").set(gauge_units(speedup, 100.0));
     registry.gauge("lint.threads").set(THREADS as i64);
     registry.gauge("lint.parity").set(i64::from(identical));
 
@@ -386,12 +397,12 @@ pub fn mitigate_suite() -> MitigateOutcome {
 
     let speedup = mean_ns(&serial_h) / mean_ns(&parallel_h);
     // Gauges are integers; store ratios ×100 and the loss ×10000.
-    registry.gauge("mitigate.speedup_x100").set((speedup * 100.0) as i64);
+    registry.gauge("mitigate.speedup_x100").set(gauge_units(speedup, 100.0));
     registry.gauge("mitigate.threads").set(THREADS as i64);
     registry.gauge("mitigate.parity").set(i64::from(parity));
     registry.gauge("mitigate.market.cells").set(market_cells as i64);
     registry.gauge("mitigate.search.lists").set(search_lists as i64);
-    registry.gauge("mitigate.worst_ndcg_loss_x10000").set((worst_ndcg_loss * 10_000.0) as i64);
+    registry.gauge("mitigate.worst_ndcg_loss_x10000").set(gauge_units(worst_ndcg_loss, 10_000.0));
 
     MitigateOutcome {
         snapshot: registry.snapshot(),
@@ -503,9 +514,9 @@ pub fn store_suite() -> StoreOutcome {
     let delta_scaling = mean_ns(&full_h) / mean_ns(&quarter_h);
     let load_speedup = mean_ns(&rebuild_h) / mean_ns(&load_h);
     // Gauges are integers; store ratios ×100.
-    registry.gauge("store.delta.speedup_x100").set((delta_speedup * 100.0) as i64);
-    registry.gauge("store.delta.scaling_x100").set((delta_scaling * 100.0) as i64);
-    registry.gauge("store.snapshot.load_speedup_x100").set((load_speedup * 100.0) as i64);
+    registry.gauge("store.delta.speedup_x100").set(gauge_units(delta_speedup, 100.0));
+    registry.gauge("store.delta.scaling_x100").set(gauge_units(delta_scaling, 100.0));
+    registry.gauge("store.snapshot.load_speedup_x100").set(gauge_units(load_speedup, 100.0));
     registry.gauge("store.dirty_batch").set(DIRTY_BATCH as i64);
     registry.gauge("store.cube.cells").set(cells.len() as i64);
     registry.gauge("store.log.records").set(log_records as i64);

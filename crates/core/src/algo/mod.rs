@@ -4,7 +4,7 @@
 //!   solving **Problem 1 (Fairness Quantification)** for any dimension;
 //! - [`naive`]: the full-scan baseline and oracle it is benchmarked and
 //!   tested against;
-//! - [`compare`]: Algorithms 2–3 solving **Problem 2 (Fairness
+//! - [`compare`](mod@compare): Algorithms 2–3 solving **Problem 2 (Fairness
 //!   Comparison)**.
 
 pub mod compare;

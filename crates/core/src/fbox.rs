@@ -261,7 +261,7 @@ impl FBox {
             .collect()
     }
 
-    /// Problem 2: fairness comparison. See [`algo::compare`].
+    /// Problem 2: fairness comparison. See [`algo::compare`](fn@algo::compare).
     pub fn compare(
         &self,
         r1: algo::Entity,

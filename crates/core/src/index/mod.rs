@@ -121,6 +121,10 @@ impl IndexSet {
     pub(crate) fn from_cube(cube: UnfairnessCube) -> Self {
         let _span = fbox_telemetry::span("index.build");
         let (ng, nq, nl) = (cube.n_groups(), cube.n_queries(), cube.n_locations());
+        debug_assert!(
+            ng <= u32::MAX as usize && nq <= u32::MAX as usize && nl <= u32::MAX as usize,
+            "dimension sizes must fit the u32 id space"
+        );
         let at = |g, q, l| cube.get(GroupId(g), QueryId(q), LocationId(l));
         let group_lists = build_family("group", &pair_grid(nq, nl), |q, l| {
             PostingList::from_values((0..ng as u32).map(|g| at(g, q, l)))

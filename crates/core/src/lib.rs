@@ -8,12 +8,12 @@
 //!
 //! ## Concepts
 //!
-//! - A **[`Schema`](model::Schema)** declares protected attributes
-//!   (gender, ethnicity, …) and a **[`GroupLabel`](model::GroupLabel)** is
+//! - A **[`Schema`]** declares protected attributes
+//!   (gender, ethnicity, …) and a **[`GroupLabel`]** is
 //!   a conjunction of `attribute = value` predicates. Groups one
 //!   attribute-flip apart are *comparable* and unfairness is always
 //!   measured against them.
-//! - A **[`Universe`](model::Universe)** registers the groups, queries,
+//! - A **[`Universe`]** registers the groups, queries,
 //!   and locations of a study.
 //! - **Observations** ([`observations`]) are what a crawl produces:
 //!   per-user ranked lists (search engines) or ranked worker lists
@@ -21,13 +21,13 @@
 //! - **Measures** ([`measures`], [`unfairness`]) turn observations into
 //!   `d⟨g,q,l⟩` values: Kendall-Tau/Jaccard list distances (Eq. 1), or
 //!   EMD/exposure over worker rankings (Eq. 2, §3.3.2).
-//! - The **[`UnfairnessCube`](cube::UnfairnessCube)** stores every
+//! - The **[`UnfairnessCube`]** stores every
 //!   `d⟨g,q,l⟩`; the three **index families** ([`index`]) pre-sort it per
 //!   Table 5.
 //! - **Algorithms** ([`algo`]) answer Problem 1 (top-k most/least unfair
 //!   groups, queries, or locations — threshold algorithm with a naive
 //!   baseline) and Problem 2 (breakdown comparisons).
-//! - **[`FBox`](fbox::FBox)** bundles the whole pipeline.
+//! - **[`FBox`]** bundles the whole pipeline.
 //!
 //! ## Quick example
 //!

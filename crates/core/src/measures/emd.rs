@@ -74,11 +74,13 @@ pub(crate) fn cdf_emd(a: &[f64], b: &[f64], cfg: BinConfig) -> f64 {
 
 /// Rescales a raw [`emd_1d`] value over `cfg` into `[0, 1]`.
 pub(crate) fn rescale_emd(raw: f64, cfg: BinConfig) -> f64 {
-    if cfg.bins <= 1 {
-        return 0.0;
+    // Zero for a single bin, where no distance is possible.
+    let max = cfg.bins.saturating_sub(1) as f64 * cfg.bin_width();
+    if max > 0.0 {
+        (raw / max).clamp(0.0, 1.0)
+    } else {
+        0.0
     }
-    let max = (cfg.bins - 1) as f64 * cfg.bin_width();
-    (raw / max).clamp(0.0, 1.0)
 }
 
 /// Exact EMD between two unit-mass distributions with an arbitrary ground

@@ -29,8 +29,11 @@
 //! `expr as usize` on a float truncates toward zero, saturates on
 //! overflow, and maps NaN to 0 — all silently. Quota allocation and EMD
 //! mass scaling are exactly the places where that skews counts, so the
-//! casts live here, once, behind debug assertions (the `float-int-cast`
-//! lint denies them anywhere else).
+//! casts live here, once, behind debug assertions. fbox-lint's interval
+//! analysis owns every float→int cast: `cast-truncating-unproven`
+//! proves these three lossless from the assertions (finite,
+//! non-negative, and integer-valued after `floor`/`round`) and denies
+//! any cast elsewhere it cannot prove the same way.
 
 /// Absolute tolerance for unit-scale measure arithmetic (see module
 /// docs for the derivation).

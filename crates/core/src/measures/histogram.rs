@@ -46,7 +46,8 @@ impl BinConfig {
 
     /// Width of each bin.
     pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.bins as f64
+        // `new` asserts `bins > 0`; the clamp keeps that visible here.
+        (self.hi - self.lo) / self.bins.max(1) as f64
     }
 
     /// Index of the bin containing `v`. Values are clamped into the range,
@@ -55,12 +56,13 @@ impl BinConfig {
     pub fn bin_of(&self, v: f64) -> usize {
         assert!(!v.is_nan(), "cannot bin NaN");
         let clamped = v.clamp(self.lo, self.hi);
-        let scaled = (clamped - self.lo) / self.bin_width();
-        // `clamped` is finite in `[lo, hi]` and the width is positive, so
-        // the quotient is already finite and non-negative; the guard makes
-        // that invariant local instead of a whole-struct argument.
+        // `new` asserts `lo < hi`, so the width is positive and the
+        // quotient finite and non-negative; the guards make that
+        // invariant local instead of a whole-struct argument.
+        let width = self.bin_width();
+        let scaled = if width > 0.0 { (clamped - self.lo) / width } else { 0.0 };
         let scaled = if scaled.is_finite() && scaled >= 0.0 { scaled } else { 0.0 };
-        let raw = scaled as usize;
+        let raw = super::float::floor_index(scaled);
         raw.min(self.bins - 1)
     }
 

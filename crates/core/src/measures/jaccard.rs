@@ -36,7 +36,8 @@ pub fn index<T: Ord>(a: &[T], b: &[T]) -> f64 {
         union += 1;
     }
     union += sa[i..].len() + sb[j..].len();
-    inter as f64 / union as f64
+    // The early return leaves at least one item, so `union >= 1`.
+    inter as f64 / union.max(1) as f64
 }
 
 /// The distinct items of `list`, in ascending order.

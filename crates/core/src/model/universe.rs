@@ -89,9 +89,22 @@ impl Universe {
 
     /// Registers a group, returning its id. Idempotent: re-adding an
     /// existing label returns the original id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the label names an attribute outside the schema: every
+    /// later cube build would index past it. (A value outside an
+    /// attribute's domain is fine: the group then matches nobody.)
     pub fn add_group(&mut self, label: GroupLabel) -> GroupId {
         if let Some(&id) = self.group_ids.get(&label) {
             return id;
+        }
+        let n_attrs = self.schema.len();
+        for &(attr, _) in label.predicates() {
+            assert!(
+                (attr.0 as usize) < n_attrs,
+                "group predicate names {attr:?} outside the {n_attrs}-attribute schema"
+            );
         }
         let n = self.groups.len();
         assert!(n <= u32::MAX as usize, "group id space exhausted");
@@ -243,6 +256,7 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::attribute::{AttrId, ValueId};
 
     fn universe() -> Universe {
         Universe::with_all_groups(Schema::gender_ethnicity())
@@ -262,6 +276,13 @@ mod tests {
         let id2 = u.add_group(label);
         assert_eq!(id1, id2);
         assert_eq!(u.n_groups(), 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2-attribute schema")]
+    fn add_group_rejects_an_attribute_outside_the_schema() {
+        let mut u = Universe::new(Schema::gender_ethnicity());
+        u.add_group(GroupLabel::new(vec![(AttrId(5), ValueId(0))]));
     }
 
     #[test]

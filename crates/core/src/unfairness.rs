@@ -9,7 +9,7 @@
 //! A [`CellMeasure`] hands out the shared-work evaluator of one `(q, l)`
 //! cell ([`SearchCellEval`], [`MarketCellEval`]); every F-Box cube build
 //! and cell update goes through it. The per-group definitions the
-//! evaluators must match bit for bit live in [`reference`].
+//! evaluators must match bit for bit live in [`reference`](mod@reference).
 
 pub mod reference;
 
@@ -101,7 +101,7 @@ pub trait CellMeasure: Copy + Sync {
 
 /// Evaluates `d⟨g,q,l⟩` group by group over one prepared cell.
 pub trait CellEval {
-    /// `d⟨g,q,l⟩` for this cell — bit-identical to the [`reference`].
+    /// `d⟨g,q,l⟩` for this cell — bit-identical to the [`reference`](mod@reference).
     fn group(&mut self, g: GroupId) -> Option<f64>;
 }
 
@@ -190,7 +190,7 @@ struct AttrRows {
 /// of one row per table: [`GroupLabel::matches`] for every group at once,
 /// since a label matches iff each of its predicates agrees and an
 /// attribute no label mentions constrains no group. The evaluators resolve
-/// each individual's set once per cell, where the [`reference`] oracles
+/// each individual's set once per cell, where the [`reference`](mod@reference) oracles
 /// match every label against every individual once per `(group,
 /// comparable)`.
 ///
@@ -332,8 +332,8 @@ impl<'a> SearchCellEval<'a> {
     pub fn new(ctx: &'a MeasureContext, lists: &'a [UserList], measure: SearchMeasure) -> Self {
         let sets = ctx.member_sets(lists.iter().map(|u| u.assignment.as_slice()));
         let mut members = vec![Vec::new(); ctx.n_groups];
-        for (i, set) in sets.chunks_exact(ctx.words).enumerate() {
-            for_each_group(set, |g| members[g].push(i as u32));
+        for (i, set) in (0u32..).zip(sets.chunks_exact(ctx.words)) {
+            for_each_group(set, |g| members[g].push(i));
         }
         Self { ctx, lists, measure, members, distances: vec![None; lists.len() * lists.len()] }
     }

@@ -5,10 +5,10 @@
 //! picture, majority vote (§5.1.1). This crate reproduces that pipeline
 //! stage so label noise can propagate into the fairness measurements:
 //!
-//! - [`Labeler`](labeler::Labeler): confusion-matrix voters;
-//! - [`majority_vote`](majority::majority_vote): per-attribute majority
+//! - [`Labeler`]: confusion-matrix voters;
+//! - [`majority_vote`]: per-attribute majority
 //!   with tie escalation;
-//! - [`label_population`](pipeline::label_population): label a whole
+//! - [`label_population`]: label a whole
 //!   marketplace population and account accuracy.
 
 pub mod labeler;

@@ -157,14 +157,11 @@ impl Interval {
     }
 
     /// `self / other` (truncating). [`Interval::TOP`] when the divisor
-    /// may be zero — the division itself is the flow rules' business.
+    /// may be zero — the division itself is `flow-unchecked-div`'s
+    /// business.
     pub fn div(&self, other: &Interval) -> Interval {
-        if other.contains(0) || !other.is_bounded() && (other.lo <= 0 || other.hi >= 0) {
-            // A divisor interval touching zero (or unbounded toward it)
-            // yields no usable quotient bound.
-            if other.contains(0) {
-                return Interval::TOP;
-            }
+        if other.contains(0) {
+            return Interval::TOP;
         }
         let safe_div = |a: i128, b: i128| -> i128 {
             if a == NEG_INF || a == POS_INF {
@@ -176,7 +173,9 @@ impl Interval {
             } else if b == NEG_INF || b == POS_INF {
                 0
             } else {
-                a / b
+                // `b` is a bound of a divisor interval without 0, so it is
+                // nonzero; `checked_div` states that locally.
+                a.checked_div(b).unwrap_or(0)
             }
         };
         let c = [
@@ -530,11 +529,6 @@ impl AbsVal {
     /// The unconstrained integer.
     pub fn int_top() -> AbsVal {
         AbsVal::Int { iv: Interval::TOP, kind: None }
-    }
-
-    /// An exact (singleton-interval) integer.
-    pub fn int_exact(v: i128) -> AbsVal {
-        AbsVal::Int { iv: Interval::exact(v), kind: None }
     }
 
     /// A typed integer spanning its type's full range.

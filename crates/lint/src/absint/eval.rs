@@ -9,20 +9,25 @@
 //! While evaluating, the cursor emits [`Event`]s at the token positions
 //! the absint rules care about: unsigned subtractions, typed add/mul
 //! results escaping their type, `as` casts with their provenness, and
-//! call sites with their abstract argument values. Events are positional
-//! facts; whether one becomes a finding is entirely the rules' decision.
+//! call sites with their abstract argument values, and divisions with
+//! their divisor's value. Events are positional facts; whether one
+//! becomes a finding is entirely the rules' decision.
 
 use std::collections::BTreeMap;
 
 use crate::lexer::{Tok, Token};
 use crate::parser::is_keyword;
 
-use super::domain::{AbsVal, FloatFacts, IntKind, Interval};
+use super::domain::{AbsVal, FloatFacts, IntKind, Interval, POS_INF};
 
 /// Variable environment: name → abstract value. Missing names are
 /// uninitialized-on-this-path (treated as absent at joins) and evaluate
 /// to ⊤.
 pub type Env = BTreeMap<String, AbsVal>;
+
+/// Refines an environment by the condition tokens `[lo, hi)` being
+/// `true` (`positive`) or `false`.
+pub type Refiner<'a> = &'a dyn Fn(&Env, usize, usize, bool) -> Env;
 
 /// A positional fact the evaluator observed. `at` is a token index into
 /// the file's token stream; the line is `toks[at].line`.
@@ -69,9 +74,17 @@ pub enum Event {
         to: IntKind,
         /// Whether the interval/facts prove the cast lossless.
         proven: bool,
-        /// Whether the source was a float (the lexical-rule refinement
-        /// only applies to float→int casts).
+        /// Whether the source was a float (float→int casts are in scope
+        /// everywhere, integer narrowing only inside the cones).
         from_float: bool,
+    },
+    /// A `/` or `/=` with the divisor's abstract value (before ⊤ is
+    /// promoted against the dividend's type, so ⊤ means "type unknown").
+    Div {
+        /// Token index of the operator.
+        at: usize,
+        /// Abstract divisor.
+        divisor: AbsVal,
     },
     /// A call site with evaluated argument values. `at` is the callee
     /// name token, which keys into the model's resolved call-site map.
@@ -90,6 +103,7 @@ impl Event {
             Event::UncheckedSub { at, .. }
             | Event::Overflow { at, .. }
             | Event::Cast { at, .. }
+            | Event::Div { at, .. }
             | Event::Call { at, .. } => *at,
         }
     }
@@ -177,6 +191,9 @@ pub struct Evaluator<'a> {
     skip: &'a [(usize, usize)],
     /// Resolves a call at name-token `at` with evaluated args.
     oracle: &'a mut dyn FnMut(usize, &str, &[AbsVal]) -> AbsVal,
+    /// Refines an environment by the condition tokens `[lo, hi)` being
+    /// true or false (for `if` expressions); without one they are ⊤.
+    refine: Option<Refiner<'a>>,
     /// Events observed since construction, in evaluation order.
     pub events: Vec<Event>,
     pos: usize,
@@ -192,7 +209,13 @@ impl<'a> Evaluator<'a> {
         skip: &'a [(usize, usize)],
         oracle: &'a mut dyn FnMut(usize, &str, &[AbsVal]) -> AbsVal,
     ) -> Evaluator<'a> {
-        Evaluator { toks, consts, skip, oracle, events: Vec::new(), pos: 0, end: 0 }
+        Evaluator { toks, consts, skip, oracle, refine: None, events: Vec::new(), pos: 0, end: 0 }
+    }
+
+    /// Enables branch refinement inside `if` expressions.
+    pub fn with_refiner(mut self, refine: Refiner<'a>) -> Evaluator<'a> {
+        self.refine = Some(refine);
+        self
     }
 
     /// Evaluates the token range `[lo, hi)` as one expression under
@@ -269,6 +292,7 @@ impl<'a> Evaluator<'a> {
 
     /// Precedence-climbing expression parse.
     fn expr(&mut self, env: &Env, min_prec: u8) -> Evaled {
+        let start = self.pos;
         let mut lhs = self.cast_level(env);
         while let Some(tok) = self.peek() {
             let Some(prec) = precedence(tok) else { break };
@@ -277,9 +301,21 @@ impl<'a> Evaluator<'a> {
             }
             let op_at = self.pos;
             self.pos += 1;
+            // Short-circuit: the right side of `a && b` runs only when
+            // `a` holds, that of `a || b` only when it does not.
+            let lazy = match tok {
+                Tok::Op("&&") => Some(true),
+                Tok::Op("||") => Some(false),
+                _ => None,
+            };
             // Range ends are optional (`..`, `a..`, `..b`): an absent or
             // unparseable right side is fine, ranges are ⊤ anyway.
-            let rhs = self.expr(env, prec + 1);
+            let rhs = match (lazy, self.refine) {
+                (Some(holds), Some(refine)) => {
+                    self.expr(&refine(env, start, op_at, holds), prec + 1)
+                }
+                _ => self.expr(env, prec + 1),
+            };
             lhs = self.apply_bin(op_at, lhs, rhs);
         }
         lhs
@@ -327,13 +363,7 @@ impl<'a> Evaluator<'a> {
         }
         if matches!(type_name, "f64" | "f32") {
             return Evaled::anon(match operand.val {
-                AbsVal::Int { iv, .. } => AbsVal::Float(FloatFacts {
-                    finite: true,
-                    non_negative: iv.lo >= 0,
-                    le_one: iv.hi <= 1,
-                    non_zero: !iv.contains(0),
-                    int_valued: true,
-                }),
+                AbsVal::Int { iv, .. } => int_as_float(iv),
                 AbsVal::Float(facts) => AbsVal::Float(facts),
                 _ => AbsVal::float_top(),
             });
@@ -358,10 +388,11 @@ impl<'a> Evaluator<'a> {
                 AbsVal::Int { iv, kind: Some(to) }
             }
             AbsVal::Float(facts) => {
-                // `as` float→int saturates since Rust 1.45, so the result
-                // is always in range; losslessness needs finiteness and,
+                // `as` float→int truncates toward zero and saturates, so
+                // losslessness needs an integer-valued finite source and,
                 // for unsigned targets, non-negativity.
-                let proven = facts.finite && (!to.is_unsigned() || facts.non_negative);
+                let proven =
+                    facts.finite && facts.int_valued && (!to.is_unsigned() || facts.non_negative);
                 self.events.push(Event::Cast {
                     at: as_at,
                     from: *from,
@@ -434,16 +465,31 @@ impl<'a> Evaluator<'a> {
             match self.peek() {
                 Some(Tok::Punct('.')) => {
                     self.pos += 1;
+                    // A method turbofish (`.sum::<f64>()`) sits between the
+                    // name and its arguments.
+                    let turbofish = matches!(self.tok(self.pos + 1), Some(t) if t.is_op("::"))
+                        && matches!(self.tok(self.pos + 2), Some(t) if t.is_punct('<'));
                     match self.peek() {
-                        Some(Tok::Ident(name)) if matches!(self.tok(self.pos + 1), Some(t) if t.is_punct('(')) =>
+                        Some(Tok::Ident(name))
+                            if turbofish
+                                || matches!(self.tok(self.pos + 1), Some(t) if t.is_punct('(')) =>
                         {
                             let name = name.clone();
                             let name_at = self.pos;
                             self.pos += 1;
+                            if turbofish {
+                                self.pos += 1;
+                                self.skip_angles();
+                            }
                             let args = self.parse_args(env);
                             self.events.push(Event::Call { at: name_at, args: args.clone() });
-                            let val = self
-                                .builtin_method(&name, &out.val, &args)
+                            // A tested local's length: `xs.is_empty()` false.
+                            let len_fact = match (&out.name, name.as_str()) {
+                                (Some(recv), "len") => env.get(&super::len_key(recv)).copied(),
+                                _ => None,
+                            };
+                            let val = len_fact
+                                .or_else(|| self.builtin_method(&name, &out.val, &args))
                                 .unwrap_or_else(|| (self.oracle)(name_at, &name, &args));
                             out = Evaled::anon(val);
                         }
@@ -480,7 +526,7 @@ impl<'a> Evaluator<'a> {
                     if !looks_like_struct {
                         return out;
                     }
-                    self.skip_group();
+                    self.parse_list(env, true);
                     out = Evaled::anon(AbsVal::Top);
                 }
                 Some(Tok::Punct('(')) => {
@@ -495,13 +541,21 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Argument list with the cursor at `(`. Tolerant: each argument is
-    /// evaluated, then the cursor resyncs to the next top-level `,`/`)`.
+    /// Argument list with the cursor at `(`.
     fn parse_args(&mut self, env: &Env) -> Vec<AbsVal> {
-        let mut args = Vec::new();
         if !matches!(self.peek(), Some(t) if t.is_punct('(')) {
-            return args;
+            return Vec::new();
         }
+        self.parse_list(env, false)
+    }
+
+    /// A delimited, comma-separated list with the cursor at its opener:
+    /// call arguments, tuple and array elements, macro arguments, struct
+    /// literal fields (`labels` skips each `name:`). Tolerant: each
+    /// element is evaluated, then the cursor resyncs to the next
+    /// top-level `,` or the closer.
+    fn parse_list(&mut self, env: &Env, labels: bool) -> Vec<AbsVal> {
+        let mut args = Vec::new();
         self.pos += 1;
         loop {
             if self.skip_closure_range() {
@@ -511,11 +565,20 @@ impl<'a> Evaluator<'a> {
             } else {
                 match self.peek() {
                     None => return args,
-                    Some(Tok::Punct(')')) => {
+                    Some(Tok::Punct(')' | ']' | '}')) => {
                         self.pos += 1;
                         return args;
                     }
-                    _ => args.push(self.expr(env, 0).val),
+                    _ => {
+                        let labeled = matches!(self.peek(), Some(Tok::Ident(_)))
+                            && matches!(self.tok(self.pos + 1), Some(t) if t.is_punct(':'));
+                        if labels && labeled {
+                            self.pos += 2;
+                        } else if labels && matches!(self.peek(), Some(t) if t.is_op("..")) {
+                            self.pos += 1; // `..base`
+                        }
+                        args.push(self.expr(env, 0).val);
+                    }
                 }
             }
             // Resync: skip whatever the expression parse did not consume.
@@ -573,36 +636,22 @@ impl<'a> Evaluator<'a> {
                 Evaled::anon(AbsVal::Top)
             }
             Tok::Punct('(') => {
+                let (open, seen) = (self.pos, self.events.len());
                 self.pos += 1;
                 let inner = self.expr(env, 0);
-                match self.peek() {
-                    Some(Tok::Punct(')')) => {
-                        self.pos += 1;
-                        inner // parens preserve the value *and* the name
-                    }
-                    _ => {
-                        // Tuple or unparsed remainder: resync at `)`.
-                        let mut depth = 0usize;
-                        while let Some(tok) = self.peek() {
-                            match tok {
-                                Tok::Punct('(' | '[' | '{') => depth += 1,
-                                Tok::Punct(')' | ']' | '}') => {
-                                    if depth == 0 {
-                                        self.pos += 1;
-                                        break;
-                                    }
-                                    depth -= 1;
-                                }
-                                _ => {}
-                            }
-                            self.pos += 1;
-                        }
-                        Evaled::anon(AbsVal::Top)
-                    }
+                if matches!(self.peek(), Some(Tok::Punct(')'))) {
+                    self.pos += 1;
+                    return inner; // parens preserve the value *and* the name
                 }
+                // A tuple (or an unparsed remainder): evaluate every
+                // element for its events.
+                self.events.truncate(seen);
+                self.pos = open;
+                self.parse_list(env, false);
+                Evaled::anon(AbsVal::Top)
             }
             Tok::Punct('[') => {
-                self.skip_group();
+                self.parse_list(env, false);
                 Evaled::anon(AbsVal::Top)
             }
             Tok::Punct('|') | Tok::Op("||") => {
@@ -624,6 +673,9 @@ impl<'a> Evaluator<'a> {
                     "true" | "false" => {
                         self.pos += 1;
                         Evaled::anon(AbsVal::Bool)
+                    }
+                    "if" if !matches!(self.tok(self.pos + 1), Some(t) if t.is_ident("let")) => {
+                        self.if_expr(env)
                     }
                     "if" | "match" | "loop" | "while" | "unsafe" | "for" => {
                         self.opaque_construct();
@@ -649,6 +701,81 @@ impl<'a> Evaluator<'a> {
                 Evaled::anon(AbsVal::Top)
             }
         }
+    }
+
+    /// An `if cond { a } else { b }` expression (not `if let`): each
+    /// branch is evaluated under the condition's refinement of `env`, and
+    /// the value is their join. A branch block holding statements, or a
+    /// missing `else`, makes the value ⊤; statement blocks stay opaque
+    /// (their statements are analyzed when they appear in statement
+    /// position).
+    fn if_expr(&mut self, env: &Env) -> Evaled {
+        let start = self.pos;
+        self.pos += 1; // `if`
+        let cond = self.pos;
+        let mut depth = 0usize;
+        while let Some(tok) = self.peek() {
+            match tok {
+                Tok::Punct('(' | '[') => depth += 1,
+                Tok::Punct(')' | ']') => match depth.checked_sub(1) {
+                    Some(d) => depth = d,
+                    None => break, // an enclosing closer: malformed
+                },
+                Tok::Punct('{' | ';') if depth == 0 => break,
+                _ => {}
+            }
+            self.pos += 1;
+        }
+        let (Some(refine), Some(Tok::Punct('{'))) = (self.refine, self.peek()) else {
+            self.pos = start;
+            self.opaque_construct();
+            return Evaled::anon(AbsVal::Top);
+        };
+        let head_end = self.pos;
+        self.sub_eval(env, cond, head_end);
+        let then_val = self.branch(&refine(env, cond, head_end, true));
+        if !matches!(self.peek(), Some(t) if t.is_ident("else")) {
+            return Evaled::anon(AbsVal::Top);
+        }
+        self.pos += 1;
+        let else_env = refine(env, cond, head_end, false);
+        let else_val = if matches!(self.peek(), Some(t) if t.is_ident("if")) {
+            self.primary(&else_env).val
+        } else {
+            self.branch(&else_env)
+        };
+        Evaled::anon(then_val.join(&else_val))
+    }
+
+    /// A `{ … }` branch block at the cursor: its value when it is a
+    /// single expression, ⊤ (and skipped) otherwise.
+    fn branch(&mut self, env: &Env) -> AbsVal {
+        let open = self.pos;
+        self.skip_group();
+        let close = self.pos - 1;
+        let single = self.toks[close].tok.is_punct('}')
+            && open + 1 < close
+            && !(open + 1..close).any(|i| {
+                matches!(self.toks[i].tok, Tok::Punct(';'))
+                    && self.skip.iter().all(|&(lo, hi)| i < lo || i >= hi)
+            });
+        if !single {
+            return AbsVal::Top;
+        }
+        let val = self.sub_eval(env, open + 1, close).val;
+        self.pos = close + 1;
+        val
+    }
+
+    /// Evaluates `[lo, hi)` as one expression, restoring the cursor.
+    fn sub_eval(&mut self, env: &Env, lo: usize, hi: usize) -> Evaled {
+        let (pos, end) = (self.pos, self.end);
+        self.pos = lo;
+        self.end = hi.min(end);
+        let out = self.expr(env, 0);
+        self.pos = pos;
+        self.end = end;
+        out
     }
 
     /// Skips an `if`/`match`/`loop`/`while`/`for`/`unsafe` *expression*:
@@ -717,12 +844,13 @@ impl<'a> Evaluator<'a> {
         }
         let Some(name) = segments.last().cloned() else { return Evaled::anon(AbsVal::Top) };
 
-        // Macro invocation: `name!(…)` / `name![…]` / `name!{…}`.
+        // Macro invocation: `name!(…)` / `name![…]` / `name!{…}`. The
+        // arguments are evaluated for their events, the value is ⊤.
         if matches!(self.peek(), Some(t) if t.is_punct('!')) {
             self.pos += 1;
             if matches!(self.peek(), Some(t) if t.is_punct('(') || t.is_punct('[') || t.is_punct('{'))
             {
-                self.skip_group();
+                self.parse_list(env, false);
             }
             return Evaled::anon(AbsVal::Top);
         }
@@ -745,13 +873,7 @@ impl<'a> Evaluator<'a> {
                 }
                 if matches!(segments[0].as_str(), "f64" | "f32") {
                     let val = match args.first() {
-                        Some(AbsVal::Int { iv, .. }) => AbsVal::Float(FloatFacts {
-                            finite: true,
-                            non_negative: iv.lo >= 0,
-                            le_one: iv.hi <= 1,
-                            non_zero: !iv.contains(0),
-                            int_valued: true,
-                        }),
+                        Some(AbsVal::Int { iv, .. }) => int_as_float(*iv),
                         Some(AbsVal::Float(f)) => AbsVal::Float(*f),
                         _ => AbsVal::float_top(),
                     };
@@ -839,15 +961,27 @@ impl<'a> Evaluator<'a> {
                     _ => FloatFacts::TOP,
                 };
                 // f64::max ignores a NaN operand, so the other side's
-                // lower-bound facts win; upper-bound facts need both.
+                // lower-bound facts win; upper-bound facts need both. A
+                // proven-positive side keeps the result positive.
+                let positive = |x: FloatFacts| x.finite && x.non_negative && x.non_zero;
                 AbsVal::Float(FloatFacts {
                     finite: f.finite && b.finite,
                     non_negative: f.non_negative || b.non_negative,
                     le_one: f.le_one && b.le_one,
-                    non_zero: f.non_zero && b.non_zero,
+                    non_zero: (f.non_zero && b.non_zero) || positive(*f) || positive(b),
                     int_valued: f.int_valued && b.int_valued,
                 })
             }
+            // An untyped receiver (a field, an indexed element) cannot
+            // fall below its `max` floor either.
+            ("max", AbsVal::Top) => match arg(0) {
+                AbsVal::Int { iv, kind } => {
+                    let hi = kind.map_or(POS_INF, |k| k.range().hi);
+                    AbsVal::Int { iv: Interval::new(iv.lo.min(hi), hi), kind }
+                }
+                AbsVal::Float(_) => return self.builtin_method(name, &AbsVal::float_top(), args),
+                _ => return None,
+            },
             ("min", AbsVal::Float(f)) => {
                 let b = match arg(0) {
                     AbsVal::Float(b) => b,
@@ -907,6 +1041,11 @@ impl<'a> Evaluator<'a> {
                 non_zero: false,
                 int_valued: true,
             }),
+            // Only floats round: an untyped receiver (a closure parameter)
+            // still yields an integer-valued float.
+            ("floor" | "ceil" | "round" | "trunc", AbsVal::Top) => {
+                AbsVal::Float(FloatFacts { int_valued: true, ..FloatFacts::TOP })
+            }
             ("sqrt", AbsVal::Float(f)) => AbsVal::Float(FloatFacts {
                 finite: f.finite && f.non_negative,
                 non_negative: true,
@@ -921,11 +1060,8 @@ impl<'a> Evaluator<'a> {
                 non_zero: f.finite,
                 int_valued: false,
             }),
-            ("len" | "count", _) => AbsVal::Int {
-                // Slice/collection lengths are bounded by isize::MAX.
-                iv: Interval::new(0, i64::MAX as i128),
-                kind: Some(IntKind::Usize),
-            },
+            // Slice/collection lengths are bounded by isize::MAX.
+            ("len" | "count", _) => super::len_range(),
             ("signum", AbsVal::Int { kind, .. }) => {
                 AbsVal::Int { iv: Interval::new(-1, 1), kind: *kind }
             }
@@ -979,15 +1115,18 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Binary operator transfer + events.
-    fn apply_bin(&mut self, op_at: usize, lhs: Evaled, rhs: Evaled) -> Evaled {
-        let op = &self.toks[op_at].tok;
-        // Comparisons and lazy booleans.
-        if matches!(op, Tok::Op("==" | "!=" | "<=" | ">=" | "&&" | "||") | Tok::Punct('<' | '>')) {
-            return Evaled::anon(AbsVal::Bool);
-        }
-        if matches!(op, Tok::Op(".." | "..=")) {
-            return Evaled::anon(AbsVal::Top);
+    /// Binary operator transfer + events. `op_at` is a binary operator
+    /// or a compound assignment (`+=` applies `+`).
+    pub(crate) fn apply_bin(&mut self, op_at: usize, lhs: Evaled, rhs: Evaled) -> Evaled {
+        let tok = &self.toks[op_at].tok;
+        // Comparisons, lazy booleans and ranges.
+        let Some(op) = arith_op(tok) else {
+            let cmp = matches!(tok, Tok::Op("==" | "!=" | "<=" | ">=" | "&&" | "||"))
+                || matches!(tok, Tok::Punct('<' | '>'));
+            return Evaled::anon(if cmp { AbsVal::Bool } else { AbsVal::Top });
+        };
+        if op == '/' {
+            self.events.push(Event::Div { at: op_at, divisor: rhs.val });
         }
 
         // Arithmetic. Promote ⊤ against a typed integer operand: both
@@ -1008,44 +1147,42 @@ impl<'a> Evaluator<'a> {
         match (a, b) {
             (AbsVal::Int { iv: ia, kind: ka }, AbsVal::Int { iv: ib, kind: kb }) => {
                 let kind = ka.or(kb);
-                Evaled::anon(self.int_bin(op_at, kind, ia, ib, &lhs.name, &rhs.name))
+                Evaled::anon(self.int_bin(op_at, op, kind, ia, ib, &lhs.name, &rhs.name))
             }
             (AbsVal::Float(fa), AbsVal::Float(fb)) => {
-                Evaled::anon(AbsVal::Float(self.float_bin(op_at, fa, fb)))
+                Evaled::anon(AbsVal::Float(float_bin(op, fa, fb)))
             }
             _ => Evaled::anon(AbsVal::Top),
         }
     }
 
     /// Integer arithmetic transfer with wrap semantics and events.
+    #[allow(clippy::too_many_arguments)]
     fn int_bin(
         &mut self,
         op_at: usize,
+        op: char,
         kind: Option<IntKind>,
         a: Interval,
         b: Interval,
         a_name: &Option<String>,
         b_name: &Option<String>,
     ) -> AbsVal {
-        let op = &self.toks[op_at].tok;
-        let fence = kind.map(IntKind::range);
         let raw = match op {
-            Tok::Punct('+') => a.add(&b),
-            Tok::Punct('-') => a.sub(&b),
-            Tok::Punct('*') => a.mul(&b),
-            Tok::Punct('/') => a.div(&b),
-            Tok::Punct('%') => a.rem(&b),
-            Tok::Op("<<") => a.shl(&b),
-            Tok::Op(">>") => a.shr(&b),
-            Tok::Punct('&') => a.bitand(&b),
-            Tok::Punct('^') | Tok::Punct('|') => a.bitor_xor(&b),
-            _ => Interval::TOP,
+            '+' => a.add(&b),
+            '-' => a.sub(&b),
+            '*' => a.mul(&b),
+            '/' => a.div(&b),
+            '%' => a.rem(&b),
+            '<' => a.shl(&b),
+            '>' => a.shr(&b),
+            '&' => a.bitand(&b),
+            _ => a.bitor_xor(&b), // `|` and `^`
         };
-        let Some(fence) = fence else {
+        let Some(kind) = kind else {
             return AbsVal::Int { iv: raw, kind: None };
         };
-        let kind = kind.expect("fence implies kind");
-        if matches!(op, Tok::Punct('-')) && kind.is_unsigned() {
+        if op == '-' && kind.is_unsigned() {
             self.events.push(Event::UncheckedSub {
                 at: op_at,
                 lhs: AbsVal::Int { iv: a, kind: Some(kind) },
@@ -1054,68 +1191,86 @@ impl<'a> Evaluator<'a> {
                 rhs_name: b_name.clone(),
             });
         }
+        let fence = kind.range();
         if raw.within(&fence) {
-            AbsVal::Int { iv: raw, kind: Some(kind) }
-        } else {
-            if matches!(op, Tok::Punct('+' | '*')) {
-                self.events.push(Event::Overflow {
-                    at: op_at,
-                    op: if matches!(op, Tok::Punct('+')) { '+' } else { '*' },
-                    kind,
-                    lhs: a,
-                    rhs: b,
-                    result: raw,
-                });
-            }
-            // Wrapping lands the result somewhere in the type's range.
-            AbsVal::Int { iv: fence, kind: Some(kind) }
+            return AbsVal::Int { iv: raw, kind: Some(kind) };
         }
+        if matches!(op, '+' | '*') {
+            self.events.push(Event::Overflow { at: op_at, op, kind, lhs: a, rhs: b, result: raw });
+        }
+        // Wrapping lands the result somewhere in the type's range.
+        AbsVal::Int { iv: fence, kind: Some(kind) }
     }
+}
 
-    /// Float arithmetic fact transfer (sound under NaN/±∞ per the fact
-    /// definitions in [`FloatFacts`]).
-    fn float_bin(&mut self, op_at: usize, a: FloatFacts, b: FloatFacts) -> FloatFacts {
-        let unit = |f: FloatFacts| f.in_unit_range();
-        match &self.toks[op_at].tok {
-            Tok::Punct('+') => FloatFacts {
-                // Two [0,1] values sum within [0,2]: finite, but not ≤1.
-                finite: unit(a) && unit(b),
-                non_negative: a.non_negative && b.non_negative,
-                le_one: false,
-                non_zero: false,
-                int_valued: a.int_valued && b.int_valued,
-            },
-            Tok::Punct('-') => FloatFacts {
-                finite: unit(a) && unit(b),
-                non_negative: false,
-                le_one: a.le_one && b.non_negative,
-                non_zero: false,
-                int_valued: a.int_valued && b.int_valued,
-            },
-            Tok::Punct('*') => FloatFacts {
-                // |x·y| ≤ |y| when x ∈ [0,1] (and vice versa).
-                finite: (unit(a) && b.finite) || (unit(b) && a.finite),
-                non_negative: a.non_negative && b.non_negative,
-                le_one: unit(a) && unit(b),
-                non_zero: false, // underflow can hit zero
-                int_valued: a.int_valued && b.int_valued,
-            },
-            Tok::Punct('/') => FloatFacts {
-                finite: false, // divisor may be subnormal → ±∞
-                non_negative: a.non_negative && b.non_negative,
-                le_one: false,
-                non_zero: false,
-                int_valued: false,
-            },
-            Tok::Punct('%') => FloatFacts {
-                finite: false,
-                non_negative: a.non_negative,
-                le_one: false,
-                non_zero: false,
-                int_valued: a.int_valued && b.int_valued,
-            },
-            _ => FloatFacts::TOP,
+/// The arithmetic operator a binary or compound-assignment token applies
+/// (`+` for both `+` and `+=`; `<`/`>` stand for the shifts).
+fn arith_op(tok: &Tok) -> Option<char> {
+    match tok {
+        Tok::Punct(c @ ('+' | '-' | '*' | '/' | '%' | '&' | '|' | '^')) => Some(*c),
+        Tok::Op("<<" | "<<=") => Some('<'),
+        Tok::Op(">>" | ">>=") => Some('>'),
+        Tok::Op(o) if o.len() == 2 && o.ends_with('=') => {
+            o.chars().next().filter(|c| "+-*/%&|^".contains(*c))
         }
+        _ => None,
+    }
+}
+
+/// The facts an integer keeps as an `f64` (`n as f64`, `f64::from(n)`).
+fn int_as_float(iv: Interval) -> AbsVal {
+    AbsVal::Float(FloatFacts {
+        finite: true,
+        non_negative: iv.lo >= 0,
+        le_one: iv.hi <= 1,
+        non_zero: !iv.contains(0),
+        int_valued: true,
+    })
+}
+
+/// Float arithmetic fact transfer (sound under NaN/±∞ per the fact
+/// definitions in [`FloatFacts`]).
+fn float_bin(op: char, a: FloatFacts, b: FloatFacts) -> FloatFacts {
+    let unit = |f: FloatFacts| f.in_unit_range();
+    match op {
+        '+' => FloatFacts {
+            // Two [0,1] values sum within [0,2]: finite, but not ≤1.
+            finite: unit(a) && unit(b),
+            non_negative: a.non_negative && b.non_negative,
+            le_one: false,
+            non_zero: false,
+            int_valued: a.int_valued && b.int_valued,
+        },
+        '-' => FloatFacts {
+            finite: unit(a) && unit(b),
+            non_negative: false,
+            le_one: a.le_one && b.non_negative,
+            non_zero: false,
+            int_valued: a.int_valued && b.int_valued,
+        },
+        '*' => FloatFacts {
+            // |x·y| ≤ |y| when x ∈ [0,1] (and vice versa).
+            finite: (unit(a) && b.finite) || (unit(b) && a.finite),
+            non_negative: a.non_negative && b.non_negative,
+            le_one: unit(a) && unit(b),
+            non_zero: false, // underflow can hit zero
+            int_valued: a.int_valued && b.int_valued,
+        },
+        '/' => FloatFacts {
+            finite: false, // divisor may be subnormal → ±∞
+            non_negative: a.non_negative && b.non_negative,
+            le_one: false,
+            non_zero: false,
+            int_valued: false,
+        },
+        '%' => FloatFacts {
+            finite: false,
+            non_negative: a.non_negative,
+            le_one: false,
+            non_zero: false,
+            int_valued: a.int_valued && b.int_valued,
+        },
+        _ => FloatFacts::TOP,
     }
 }
 
@@ -1200,8 +1355,19 @@ mod tests {
         // Float→int: unproven without facts, proven with them.
         let (_, events) = eval_str("f as u64", &[("f", AbsVal::float_top())]);
         assert!(matches!(&events[..], [Event::Cast { proven: false, from_float: true, .. }]));
-        let good =
+        // Finite and non-negative is not enough: a fraction truncates.
+        let fraction =
             AbsVal::Float(FloatFacts { finite: true, non_negative: true, ..FloatFacts::TOP });
+        let (_, events) = eval_str("f as u64", &[("f", fraction)]);
+        assert!(matches!(&events[..], [Event::Cast { proven: false, from_float: true, .. }]));
+        let (_, events) = eval_str("0.75 as usize", &[]);
+        assert!(matches!(&events[..], [Event::Cast { proven: false, from_float: true, .. }]));
+        let good = AbsVal::Float(FloatFacts {
+            finite: true,
+            non_negative: true,
+            int_valued: true,
+            ..FloatFacts::TOP
+        });
         let (v, events) = eval_str("f as u64", &[("f", good)]);
         assert!(matches!(&events[..], [Event::Cast { proven: true, from_float: true, .. }]));
         assert_eq!(v, AbsVal::Int { iv: IntKind::U64.range(), kind: Some(IntKind::U64) });

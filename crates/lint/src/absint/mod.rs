@@ -48,12 +48,62 @@ const NARROW_PASSES: usize = 2;
 
 /// Key prefix for directed guard facts in an [`Env`]: `"#ge a b"` means
 /// `a >= b` holds on every path into the statement. `#` cannot start an
-/// identifier, so these never collide with variables; unlike variable
+/// identifier, so fact keys never collide with variables; unlike variable
 /// entries they are dropped at joins when either side lacks them.
 const PAIR_PREFIX: &str = "#ge ";
 
+/// Key prefix for length facts: `"#len xs"` bounds `xs.len()` (set by
+/// `xs.is_empty()` tests and comparisons on `xs.len()`).
+const LEN_PREFIX: &str = "#len ";
+
+/// Iterator adaptors whose closure receives each item of the receiver.
+const ITEM_ADAPTORS: &[&str] = &[
+    "all",
+    "any",
+    "filter",
+    "filter_map",
+    "find",
+    "find_map",
+    "flat_map",
+    "for_each",
+    "map",
+    "position",
+    "skip_while",
+    "take_while",
+];
+
+/// Methods that can shrink a collection, invalidating its length fact.
+const SHRINKING: &[&str] = &[
+    "clear",
+    "drain",
+    "pop",
+    "pop_back",
+    "pop_front",
+    "remove",
+    "retain",
+    "retain_mut",
+    "split_off",
+    "swap_remove",
+    "take",
+    "truncate",
+];
+
 pub(crate) fn pair_key(hi: &str, lo: &str) -> String {
     format!("{PAIR_PREFIX}{hi} {lo}")
+}
+
+pub(crate) fn len_key(name: &str) -> String {
+    format!("{LEN_PREFIX}{name}")
+}
+
+/// Whether an [`Env`] key is a guard fact rather than a variable.
+fn is_fact_key(key: &str) -> bool {
+    key.starts_with('#')
+}
+
+/// The value `xs.len()` has before any test: bounded by `isize::MAX`.
+pub(crate) fn len_range() -> AbsVal {
+    AbsVal::Int { iv: Interval::new(0, i64::MAX as i128), kind: Some(IntKind::Usize) }
 }
 
 /// One function's converged analysis.
@@ -83,6 +133,11 @@ pub struct FnSummary {
     /// Parameter names, for caller-side index alignment (`self` first
     /// for methods).
     pub params: Vec<String>,
+    /// For a single-expression `bool` function: what a `true` result
+    /// proves about each parameter, `(param index, value)`.
+    pub if_true: Vec<(usize, AbsVal)>,
+    /// As [`FnSummary::if_true`], for a `false` result.
+    pub if_false: Vec<(usize, AbsVal)>,
 }
 
 /// The whole-workspace abstract interpretation result, indexed like
@@ -150,10 +205,28 @@ pub fn analyze(
         scc_count,
         max_scc_len,
     };
-    for (_, mut batch) in levels {
+    // Closures are never resolved as callees (no caller reads their
+    // summary), so they run after every named fn, outermost first: each
+    // starts from its enclosing statement's environment for the names it
+    // captures.
+    let mut closures: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (id, node) in nodes.iter().enumerate() {
+        if node.is_closure {
+            let depth = std::iter::successors(node.parent, |&p| nodes[p].parent)
+                .take_while(|&p| nodes[p].is_closure)
+                .count();
+            closures.entry(depth).or_default().push(id);
+        }
+    }
+    let batches = levels
+        .into_values()
+        .map(|batch| batch.into_iter().filter(|&id| !nodes[id].is_closure).collect::<Vec<_>>())
+        .chain(closures.into_values());
+    for mut batch in batches {
         batch.sort_unstable();
         let results = fbox_par::par_map(&batch, |&id| {
-            analyze_node(id, files, nodes, flows, call_sites, &out.summaries, &out.consts)
+            let captured = captured_env(id, files, nodes, flows, &out.fns).unwrap_or_default();
+            analyze_node(id, files, nodes, flows, call_sites, &out.summaries, &out.consts, captured)
         });
         for (&id, (fa, summary)) in batch.iter().zip(results) {
             out.fns[id] = fa;
@@ -161,6 +234,40 @@ pub fn analyze(
         }
     }
     out
+}
+
+/// A closure's view of its enclosing function: the converged entry
+/// environment of the parent statement holding the closure, minus every
+/// name the closure binds or assigns itself (and the facts about those
+/// names or about collections it shrinks).
+fn captured_env(
+    id: usize,
+    files: &[SourceFile],
+    nodes: &[FnNode],
+    flows: &[Option<FnFlow>],
+    fns: &[Option<FnAbsint>],
+) -> Option<Env> {
+    let node = &nodes[id];
+    let parent = node.parent?;
+    let stmt = flows[parent].as_ref()?.stmt_at(node.tokens.0)?;
+    let env = fns[parent].as_ref()?.envs.get(stmt)?.as_ref()?;
+    let own = flows[id].as_ref()?;
+    let toks = &files[node.file].lexed.tokens;
+    let shrunk: Vec<&str> = shrunk_names(toks, node.tokens.0, node.tokens.1).collect();
+    let captured = env
+        .iter()
+        .filter(|(key, _)| {
+            let names = match (key.strip_prefix(PAIR_PREFIX), key.strip_prefix(LEN_PREFIX)) {
+                (Some(pair), _) => pair.split(' ').collect(),
+                (_, Some(name)) if shrunk.contains(&name) => return false,
+                (_, Some(name)) => vec![name],
+                _ => vec![key.as_str()],
+            };
+            !names.iter().any(|name| own.defines(name))
+        })
+        .map(|(key, val)| (key.clone(), *val))
+        .collect();
+    Some(captured)
 }
 
 /// Tarjan's SCC algorithm (iterative), emitting components in reverse
@@ -258,6 +365,8 @@ fn collect_consts(files: &[SourceFile]) -> BTreeMap<String, AbsVal> {
 }
 
 /// Analyzes one node: the intraprocedural fixpoint plus its summary.
+/// `captured` seeds the entry environment (a closure's captures).
+#[allow(clippy::too_many_arguments)]
 fn analyze_node(
     id: usize,
     files: &[SourceFile],
@@ -266,6 +375,7 @@ fn analyze_node(
     call_sites: &[Vec<(usize, Vec<usize>)>],
     summaries: &[Option<FnSummary>],
     consts: &BTreeMap<String, AbsVal>,
+    captured: Env,
 ) -> (Option<FnAbsint>, FnSummary) {
     let node = &nodes[id];
     let toks = &files[node.file].lexed.tokens;
@@ -274,7 +384,14 @@ fn analyze_node(
         // Bodiless (trait declaration): the declared return type is the
         // whole summary.
         let ret = apply_decl_type(AbsVal::Top, declared_ret(toks, sig).as_deref());
-        return (None, FnSummary { ret, requires: Vec::new(), params: Vec::new() });
+        let summary = FnSummary {
+            ret,
+            requires: Vec::new(),
+            params: Vec::new(),
+            if_true: Vec::new(),
+            if_false: Vec::new(),
+        };
+        return (None, summary);
     };
     let skip: Vec<(usize, usize)> = node
         .children
@@ -291,6 +408,7 @@ fn analyze_node(
         summaries,
         sig,
         is_closure: node.is_closure,
+        captured,
     };
     let (envs, iterations, diverged) = cx.fixpoint();
     let events = cx.report(&envs);
@@ -310,6 +428,8 @@ struct FnCx<'a> {
     summaries: &'a [Option<FnSummary>],
     sig: (usize, usize),
     is_closure: bool,
+    /// Entry bindings besides the parameters (a closure's captures).
+    captured: Env,
 }
 
 impl<'a> FnCx<'a> {
@@ -337,7 +457,11 @@ impl<'a> FnCx<'a> {
     /// Evaluates `[lo, hi)` under `env`, appending events to `sink`.
     fn eval_range(&self, env: &Env, lo: usize, hi: usize, sink: &mut Vec<Event>) -> Evaled {
         let mut oracle = |at: usize, _: &str, _: &[AbsVal]| self.resolve_ret(at);
-        let mut ev = Evaluator::new(self.toks, self.consts, &self.skip, &mut oracle);
+        let refine = |env: &Env, lo: usize, hi: usize, positive: bool| {
+            self.refine_cond(env.clone(), lo, hi, positive)
+        };
+        let mut ev =
+            Evaluator::new(self.toks, self.consts, &self.skip, &mut oracle).with_refiner(&refine);
         let out = ev.eval(env, lo, hi);
         sink.append(&mut ev.events);
         out
@@ -350,13 +474,17 @@ impl<'a> FnCx<'a> {
         self.eval_range(env, lo, hi, &mut sink)
     }
 
-    /// The entry environment: parameters at their signature-declared
-    /// types (⊤ where the type is not a scalar we track).
+    /// The entry environment: the captures, then the parameters at their
+    /// signature-declared types (⊤ where the type is not a scalar we
+    /// track).
     fn param_env(&self) -> Env {
-        let mut env = Env::new();
+        let mut env = self.captured.clone();
         for name in &self.flow.params {
-            let ty = param_type(self.toks, self.sig, name, self.is_closure);
+            let ty = param_type(self.toks, self.sig, name);
             env.insert(name.clone(), apply_decl_type(AbsVal::Top, ty.as_deref()));
+        }
+        if let Some(index) = self.enumerate_item() {
+            env.insert(index, len_range());
         }
         env
     }
@@ -516,16 +644,38 @@ impl<'a> FnCx<'a> {
             let Some(cond) = assert_cond_range(self.toks, stmt.tokens) else { break };
             refined = self.refine_cond(refined, cond.0, cond.1, true);
         }
-        let mut requires = Vec::new();
-        for (idx, name) in self.flow.params.iter().enumerate() {
-            let (before, after) = (initial.get(name), refined.get(name));
-            if let (Some(b), Some(a)) = (before, after) {
-                if a != b {
-                    requires.push((idx, name.clone(), *a));
-                }
+        let requires = self
+            .changed_params(&initial, &refined)
+            .map(|(idx, val)| (idx, self.flow.params[idx].clone(), val))
+            .collect();
+
+        // Predicate implications: a body that is one `bool` expression
+        // over the parameters (`x.abs() <= EPS`) refines them by its
+        // truth value at every call used as a condition.
+        let (mut if_true, mut if_false) = (Vec::new(), Vec::new());
+        if let ([_params, tail], Some("bool")) = (&self.flow.tree.root[..], declared.as_deref()) {
+            let (lo, hi) = self.flow.tree.stmts[*tail].tokens;
+            if matches!(self.flow.tree.stmts[*tail].kind, StmtKind::Expr) {
+                let t = self.refine_cond(initial.clone(), lo, hi, true);
+                let f = self.refine_cond(initial.clone(), lo, hi, false);
+                if_true = self.changed_params(&initial, &t).collect();
+                if_false = self.changed_params(&initial, &f).collect();
             }
         }
-        FnSummary { ret, requires, params: self.flow.params.clone() }
+        FnSummary { ret, requires, params: self.flow.params.clone(), if_true, if_false }
+    }
+
+    /// Parameters whose value differs between two environments, with
+    /// the value in `after`.
+    fn changed_params<'e>(
+        &'e self,
+        before: &'e Env,
+        after: &'e Env,
+    ) -> impl Iterator<Item = (usize, AbsVal)> + 'e {
+        self.flow.params.iter().enumerate().filter_map(|(idx, name)| {
+            let (b, a) = (before.get(name)?, after.get(name)?);
+            (a != b).then_some((idx, *a))
+        })
     }
 
     /// The transfer function: out-environment of statement `s` given its
@@ -547,7 +697,7 @@ impl<'a> FnCx<'a> {
                 }
                 let val = match find_depth0_angles(self.toks, lo, hi, |t| t.is_punct('=')) {
                     Some(eq) => {
-                        let v = self.eval_with_sink(env, eq + 1, hi, sink_ref).val;
+                        let v = self.eval_range(env, eq + 1, hi, sink_ref).val;
                         let ty = find_depth0_angles(self.toks, lo, eq, |t| t.is_punct(':'))
                             .and_then(|colon| type_name_at(self.toks, colon + 1, eq));
                         apply_decl_type(v, ty.as_deref())
@@ -555,10 +705,16 @@ impl<'a> FnCx<'a> {
                     None => AbsVal::Top, // `let x;` or unparsed
                 };
                 for def in &stmt.defs {
-                    kill_pairs(&mut out, def);
+                    kill_facts(&mut out, def);
                 }
                 if stmt.defs.len() == 1 {
                     out.insert(stmt.defs[0].clone(), val);
+                } else if let Some(elems) = tuple_binding(self.toks, lo, hi) {
+                    // `let (a, b) = (x, y);` binds elementwise (evaluating
+                    // the tuple above already collected the events).
+                    for (name, (elo, ehi)) in elems {
+                        out.insert(name, self.eval_quiet(env, elo, ehi).val);
+                    }
                 } else {
                     for def in &stmt.defs {
                         out.insert(def.clone(), AbsVal::Top);
@@ -573,31 +729,43 @@ impl<'a> FnCx<'a> {
                 });
                 let val = match op_at {
                     Some(op_at) => {
-                        let rhs = self.eval_with_sink(env, op_at + 1, hi, sink_ref);
+                        let rhs = self.eval_range(env, op_at + 1, hi, sink_ref);
                         if *compound {
-                            let cur = env.get(target).copied().unwrap_or(AbsVal::Top);
-                            self.compound(op_at, target, cur, &rhs, sink_ref)
+                            self.compound(env, op_at, target, rhs, sink_ref)
                         } else {
                             rhs.val
                         }
                     }
                     None => AbsVal::Top,
                 };
-                kill_pairs(&mut out, target);
-                // `x = v` binds; `x.field = v` / `x[i] = v` invalidates.
+                kill_facts(&mut out, target);
+                // A fn-local `const NAME: T = v;` binds like a typed `let`.
+                if matches!(self.keyword_at(lo), Some("const" | "static")) {
+                    let ty = op_at.and_then(|eq| {
+                        let colon = find_depth0_angles(self.toks, lo, eq, |t| t.is_punct(':'))?;
+                        type_name_at(self.toks, colon + 1, eq)
+                    });
+                    out.insert(target.clone(), apply_decl_type(val, ty.as_deref()));
+                    return out;
+                }
+                // `x = v` binds; `x.field = v` / `x[i] = v` invalidates
+                // (after its index expressions are evaluated for events).
                 let simple = op_at == Some(lo + 1)
                     && matches!(&self.toks.get(lo).map(|t| &t.tok), Some(Tok::Ident(n)) if n == target);
+                if let (false, Some(op_at)) = (simple, op_at) {
+                    self.eval_range(env, lo, op_at, sink_ref);
+                }
                 out.insert(target.clone(), if simple { val } else { AbsVal::Top });
             }
             StmtKind::Expr => {
                 if let Some((clo, chi)) = assert_cond_range(self.toks, stmt.tokens) {
-                    self.eval_with_sink(env, clo, chi, sink_ref);
+                    self.eval_range(env, clo, chi, sink_ref);
                     out = self.refine_cond(out, clo, chi, true);
                 } else if let Some(((alo, ahi), (blo, bhi))) =
                     assert_eq_ranges(self.toks, stmt.tokens)
                 {
-                    let a = self.eval_with_sink(env, alo, ahi, sink_ref);
-                    let b = self.eval_with_sink(env, blo, bhi, sink_ref);
+                    let a = self.eval_range(env, alo, ahi, sink_ref);
+                    let b = self.eval_range(env, blo, bhi, sink_ref);
                     // `assert_eq!(a, b)`: each single-ident side meets the
                     // other side's value.
                     for (side, other) in [(&a, &b.val), (&b, &a.val)] {
@@ -609,7 +777,7 @@ impl<'a> FnCx<'a> {
                         }
                     }
                 } else {
-                    self.eval_with_sink(env, lo, hi, sink_ref);
+                    self.eval_range(env, lo, hi, sink_ref);
                 }
             }
             StmtKind::If { .. } => {
@@ -617,30 +785,30 @@ impl<'a> FnCx<'a> {
                 // environments are refined edge-wise in `flow_into`.
                 if self.head_is_let(lo) {
                     if let Some(eq) = find_depth0_angles(self.toks, lo, hi, |t| t.is_punct('=')) {
-                        self.eval_with_sink(env, eq + 1, hi, sink_ref);
+                        self.eval_range(env, eq + 1, hi, sink_ref);
                     }
                 } else {
-                    self.eval_with_sink(env, lo + 1, hi, sink_ref);
+                    self.eval_range(env, lo + 1, hi, sink_ref);
                 }
             }
             StmtKind::Match { .. } => {
-                self.eval_with_sink(env, lo + 1, hi, sink_ref);
+                self.eval_range(env, lo + 1, hi, sink_ref);
             }
             StmtKind::Loop { .. } => {
                 let kw = self.keyword_at(lo);
                 match kw {
                     Some("while") if !self.head_is_let(lo) => {
-                        self.eval_with_sink(env, lo + 1, hi, sink_ref);
+                        self.eval_range(env, lo + 1, hi, sink_ref);
                     }
                     Some("while") => {
                         if let Some(eq) = find_depth0_angles(self.toks, lo, hi, |t| t.is_punct('='))
                         {
-                            self.eval_with_sink(env, eq + 1, hi, sink_ref);
+                            self.eval_range(env, eq + 1, hi, sink_ref);
                         }
                     }
                     Some("for") => {
                         if let Some(in_at) = find_depth0(self.toks, lo, hi, |t| t.is_ident("in")) {
-                            self.eval_with_sink(env, in_at + 1, hi, sink_ref);
+                            self.eval_range(env, in_at + 1, hi, sink_ref);
                         }
                     }
                     _ => {}
@@ -649,7 +817,7 @@ impl<'a> FnCx<'a> {
             StmtKind::Block { .. } => {}
             StmtKind::Return | StmtKind::Break | StmtKind::Continue => {
                 if lo < hi {
-                    self.eval_with_sink(env, lo, hi, sink_ref);
+                    self.eval_range(env, lo, hi, sink_ref);
                 }
             }
         }
@@ -658,7 +826,7 @@ impl<'a> FnCx<'a> {
         if matches!(stmt.kind, StmtKind::If { .. } | StmtKind::Match { .. } | StmtKind::Loop { .. })
         {
             for def in &stmt.defs {
-                kill_pairs(&mut out, def);
+                kill_facts(&mut out, def);
                 out.insert(def.clone(), AbsVal::Top);
             }
         }
@@ -668,112 +836,25 @@ impl<'a> FnCx<'a> {
         out
     }
 
-    fn eval_with_sink(&self, env: &Env, lo: usize, hi: usize, sink: &mut Vec<Event>) -> Evaled {
-        self.eval_range(env, lo, hi, sink)
-    }
-
-    /// Compound-assignment transfer (`x += e`, `x -= e`, …): same wrap
-    /// semantics and events as the evaluator's binary operators.
+    /// Compound-assignment transfer (`x += e`, `x -= e`, …): the
+    /// evaluator's binary operator, with `x` as the named left operand.
     fn compound(
         &self,
+        env: &Env,
         op_at: usize,
         target: &str,
-        cur: AbsVal,
-        rhs: &Evaled,
+        rhs: Evaled,
         sink: &mut Vec<Event>,
     ) -> AbsVal {
-        let op = match &self.toks[op_at].tok {
-            Tok::Op(o) => o.chars().next().unwrap_or('='),
-            _ => return AbsVal::Top,
+        let cur = Evaled {
+            val: env.get(target).copied().unwrap_or(AbsVal::Top),
+            name: Some(target.to_owned()),
         };
-        // Promote an untyped side against a typed one (one Rust type).
-        let (a, b) = match (cur, rhs.val) {
-            (AbsVal::Int { iv, kind: Some(k) }, AbsVal::Top) => {
-                (AbsVal::Int { iv, kind: Some(k) }, AbsVal::int_of_kind(k))
-            }
-            (AbsVal::Top, AbsVal::Int { iv, kind: Some(k) }) => {
-                (AbsVal::int_of_kind(k), AbsVal::Int { iv, kind: Some(k) })
-            }
-            other => other,
-        };
-        match (a, b) {
-            (AbsVal::Int { iv: ia, kind: ka }, AbsVal::Int { iv: ib, kind: kb }) => {
-                let kind = ka.or(kb);
-                let raw = match op {
-                    '+' => ia.add(&ib),
-                    '-' => ia.sub(&ib),
-                    '*' => ia.mul(&ib),
-                    '/' => ia.div(&ib),
-                    '%' => ia.rem(&ib),
-                    '&' => ia.bitand(&ib),
-                    '|' | '^' => ia.bitor_xor(&ib),
-                    '<' => ia.shl(&ib),
-                    '>' => ia.shr(&ib),
-                    _ => Interval::TOP,
-                };
-                let Some(kind) = kind else { return AbsVal::Int { iv: raw, kind: None } };
-                if op == '-' && kind.is_unsigned() {
-                    sink.push(Event::UncheckedSub {
-                        at: op_at,
-                        lhs: AbsVal::Int { iv: ia, kind: Some(kind) },
-                        rhs: AbsVal::Int { iv: ib, kind: Some(kind) },
-                        lhs_name: Some(target.to_owned()),
-                        rhs_name: rhs.name.clone(),
-                    });
-                }
-                let fence = kind.range();
-                if raw.within(&fence) {
-                    AbsVal::Int { iv: raw, kind: Some(kind) }
-                } else {
-                    if matches!(op, '+' | '*') {
-                        sink.push(Event::Overflow {
-                            at: op_at,
-                            op,
-                            kind,
-                            lhs: ia,
-                            rhs: ib,
-                            result: raw,
-                        });
-                    }
-                    AbsVal::Int { iv: fence, kind: Some(kind) }
-                }
-            }
-            (AbsVal::Float(fa), AbsVal::Float(fb)) => {
-                let unit = |f: FloatFacts| f.in_unit_range();
-                AbsVal::Float(match op {
-                    '+' => FloatFacts {
-                        finite: unit(fa) && unit(fb),
-                        non_negative: fa.non_negative && fb.non_negative,
-                        le_one: false,
-                        non_zero: false,
-                        int_valued: fa.int_valued && fb.int_valued,
-                    },
-                    '-' => FloatFacts {
-                        finite: unit(fa) && unit(fb),
-                        non_negative: false,
-                        le_one: fa.le_one && fb.non_negative,
-                        non_zero: false,
-                        int_valued: fa.int_valued && fb.int_valued,
-                    },
-                    '*' => FloatFacts {
-                        finite: (unit(fa) && fb.finite) || (unit(fb) && fa.finite),
-                        non_negative: fa.non_negative && fb.non_negative,
-                        le_one: unit(fa) && unit(fb),
-                        non_zero: false,
-                        int_valued: fa.int_valued && fb.int_valued,
-                    },
-                    '/' => FloatFacts {
-                        finite: false,
-                        non_negative: fa.non_negative && fb.non_negative,
-                        le_one: false,
-                        non_zero: false,
-                        int_valued: false,
-                    },
-                    _ => FloatFacts::TOP,
-                })
-            }
-            _ => AbsVal::Top,
-        }
+        let mut oracle = |at: usize, _: &str, _: &[AbsVal]| self.resolve_ret(at);
+        let mut ev = Evaluator::new(self.toks, self.consts, &self.skip, &mut oracle);
+        let val = ev.apply_bin(op_at, cur, rhs).val;
+        sink.append(&mut ev.events);
+        val
     }
 
     /// Successor environments of statement `s` with edge refinement:
@@ -839,23 +920,31 @@ impl<'a> FnCx<'a> {
         edges
     }
 
-    /// `for PAT in a..b` body refinement: the (single) loop variable is
-    /// bounded by the literal/evaluated range endpoints.
+    /// `for PAT in ITER` body refinement: a single loop variable over
+    /// `a..b` is bounded by the evaluated endpoints, and the index of an
+    /// `(i, …)` pattern over `….enumerate()` is a `usize` count.
     fn refine_for(&self, mut env: Env, stmt: &crate::flow::stmt::Stmt) -> Env {
-        if stmt.defs.len() != 1 {
-            return env;
-        }
         let (lo, hi) = stmt.tokens;
         let Some(in_at) = find_depth0(self.toks, lo, hi, |t| t.is_ident("in")) else { return env };
-        let Some(dots) =
-            find_depth0(self.toks, in_at + 1, hi, |t| matches!(t, Tok::Op(".." | "..=")))
-        else {
-            return env;
+        let bound = match &stmt.defs[..] {
+            [var] => self.range_value(&env, in_at + 1, hi).map(|v| (var.clone(), v)),
+            _ => enumerate_index(self.toks, lo + 1, hi).map(|i| (i, len_range())),
         };
+        if let Some((var, val)) = bound {
+            kill_facts(&mut env, &var);
+            env.insert(var, val);
+        }
+        env
+    }
+
+    /// The values a `a..b` / `a..=b` range over `[lo, hi)` yields, when
+    /// both ends evaluate to integers and the range is not empty.
+    fn range_value(&self, env: &Env, lo: usize, hi: usize) -> Option<AbsVal> {
+        let dots = find_depth0(self.toks, lo, hi, |t| matches!(t, Tok::Op(".." | "..=")))?;
         let inclusive = matches!(&self.toks[dots].tok, Tok::Op("..="));
-        let start = self.eval_quiet(&env, in_at + 1, dots).val;
-        let end = self.eval_quiet(&env, dots + 1, hi).val;
-        let (Some(si), Some(ei)) = (start.interval(), end.interval()) else { return env };
+        let start = self.eval_quiet(env, lo, dots).val;
+        let end = self.eval_quiet(env, dots + 1, hi).val;
+        let (si, ei) = (start.interval()?, end.interval()?);
         let kind = match (start, end) {
             (AbsVal::Int { kind: Some(k), .. }, _) | (_, AbsVal::Int { kind: Some(k), .. }) => {
                 Some(k)
@@ -866,36 +955,35 @@ impl<'a> FnCx<'a> {
         // widened infinity, which must not wrap into a finite bound.
         let upper =
             if inclusive || ei.hi == POS_INF || ei.hi == NEG_INF { ei.hi } else { ei.hi - 1 };
-        if si.lo > upper {
-            return env; // empty range; body still analyzed conservatively
-        }
-        let var = stmt.defs[0].clone();
-        kill_pairs(&mut env, &var);
-        env.insert(var, AbsVal::Int { iv: Interval::new(si.lo, upper), kind });
-        env
+        // An empty range yields nothing; its body is still analyzed
+        // conservatively.
+        (si.lo <= upper).then(|| AbsVal::Int { iv: Interval::new(si.lo, upper), kind })
     }
 
-    /// Refines `env` by the condition tokens `[lo, hi)`. Positive: every
-    /// top-level `&&` conjunct is applied. Negative: only a single
-    /// conjunct is negated (¬(a ∧ b) proves nothing about either alone).
-    fn refine_cond(&self, env: Env, lo: usize, hi: usize, positive: bool) -> Env {
-        let conjuncts = split_conjuncts(self.toks, lo, hi);
-        if positive {
-            let mut env = env;
-            for &(clo, chi) in &conjuncts {
-                env = self.refine_conjunct(env, clo, chi, true);
-            }
-            env
-        } else if let [(clo, chi)] = conjuncts[..] {
-            self.refine_conjunct(env, clo, chi, false)
-        } else {
-            env
+    /// The index of a closure's `(i, …)` item pattern when the closure
+    /// is passed to an item adaptor (`map`, `filter`, …) over
+    /// `….enumerate()`: a `usize` count.
+    fn enumerate_item(&self) -> Option<String> {
+        if !self.is_closure {
+            return None;
         }
+        let toks = self.toks;
+        let start = self.sig.0;
+        let pat = start + 1 + usize::from(toks.get(start)?.tok.is_ident("move"));
+        let method_at = start.checked_sub(2)?;
+        let is_adaptor = toks[start - 1].tok.is_punct('(')
+            && matches!(&toks[method_at].tok, Tok::Ident(m) if ITEM_ADAPTORS.contains(&m.as_str()))
+            && toks.get(method_at.checked_sub(1)?)?.tok.is_punct('.');
+        if !is_adaptor {
+            return None;
+        }
+        enumerate_index(toks, pat, method_at - 1)
     }
 
-    /// Applies one conjunct: comparisons, `x.is_finite()`, and
-    /// `(a..=b).contains(&x)` shapes.
-    fn refine_conjunct(&self, mut env: Env, lo: usize, hi: usize, positive: bool) -> Env {
+    /// Refines `env` by the condition tokens `[lo, hi)` being `positive`.
+    /// A true `a && b` applies both sides, a false `a || b` negates both;
+    /// the other two shapes prove nothing about either side alone.
+    fn refine_cond(&self, mut env: Env, lo: usize, hi: usize, positive: bool) -> Env {
         let toks = self.toks;
         // Strip one redundant paren layer.
         if hi > lo + 1 {
@@ -904,12 +992,37 @@ impl<'a> FnCx<'a> {
                 && toks[last].tok.is_punct(')')
                 && matching_close(toks, lo) == Some(last)
             {
-                return self.refine_conjunct(env, lo + 1, last, positive);
+                return self.refine_cond(env, lo + 1, last, positive);
+            }
+        }
+        for (op, splits_when) in [("||", false), ("&&", true)] {
+            let parts = split_at_op(toks, lo, hi, op);
+            if parts.len() > 1 {
+                if positive == splits_when {
+                    for (plo, phi) in parts {
+                        env = self.refine_cond(env, plo, phi, positive);
+                    }
+                }
+                return env;
             }
         }
         // `!inner`: flip polarity.
         if toks.get(lo).is_some_and(|t| t.tok.is_punct('!')) {
-            return self.refine_conjunct(env, lo + 1, hi, !positive);
+            return self.refine_cond(env, lo + 1, hi, !positive);
+        }
+        // `xs.is_empty()` bounds `xs.len()` either way.
+        if let Some(name) = method_test(toks, lo, hi, "is_empty") {
+            let bound = if positive { Interval::exact(0) } else { Interval::new(1, POS_INF) };
+            let key = len_key(&name);
+            let cur = env.get(&key).copied().unwrap_or_else(len_range);
+            let met = meet_vals(&cur, &AbsVal::Int { iv: bound, kind: Some(IntKind::Usize) });
+            env.insert(key, met);
+            return env;
+        }
+        // A workspace predicate: its summary says what its result proves
+        // about each argument (`approx_zero(d)` false ⇒ `d != 0`).
+        if let Some(refined) = self.refine_predicate(&env, lo, hi, positive) {
+            return refined;
         }
         // `x.is_finite()` — only the positive direction carries a fact.
         if positive {
@@ -959,65 +1072,113 @@ impl<'a> FnCx<'a> {
                 }
             }
         }
-        if let Some(name) = lhs_name.as_ref().filter(|n| env.contains_key(n.as_str())) {
-            refine_by_cmp(&mut env, name, op, &rhs);
-        }
-        if let Some(name) = rhs_name.as_ref().filter(|n| env.contains_key(n.as_str())) {
-            refine_by_cmp(&mut env, name, flip_cmp(op), &lhs);
+        let sides = [
+            (lo, cmp_at, op, &rhs, zero_literal(toks, cmp_at + 1, hi)),
+            (cmp_at + 1, hi, flip_cmp(op), &lhs, zero_literal(toks, lo, cmp_at)),
+        ];
+        for (slo, shi, op, other, other_zero) in sides {
+            if let Some(name) = single_ident(toks, slo, shi) {
+                if env.contains_key(&name) {
+                    refine_by_cmp(&mut env, &name, op, other, other_zero);
+                }
+            } else if let Some(name) = method_test(toks, slo, shi, "len") {
+                let key = len_key(&name);
+                env.entry(key.clone()).or_insert_with(len_range);
+                refine_by_cmp(&mut env, &key, op, other, other_zero);
+            } else if let Some(name) = method_test(toks, slo, shi, "abs") {
+                // `|x| > c` with `c >= 0` proves `x != 0`, nothing more.
+                let AbsVal::Float(c) = other else { continue };
+                let nonzero = match op {
+                    ">" => c.non_negative,
+                    ">=" => c.non_negative && c.non_zero,
+                    _ => false,
+                };
+                if nonzero && env.contains_key(&name) {
+                    add_float_facts(
+                        &mut env,
+                        &name,
+                        FloatFacts { non_zero: true, ..FloatFacts::TOP },
+                    );
+                }
+            }
         }
         env
     }
 
+    /// Refines the arguments of a uniquely resolved workspace predicate
+    /// call spanning `[lo, hi)` (`approx_zero(d)`) by its summary's
+    /// implications for the given polarity. `None` when the range is not
+    /// such a call.
+    fn refine_predicate(&self, env: &Env, lo: usize, hi: usize, positive: bool) -> Option<Env> {
+        let toks = self.toks;
+        let close = hi.checked_sub(1)?;
+        let open = (lo + 1..close)
+            .find(|&i| toks[i].tok.is_punct('(') && matching_close(toks, i) == Some(close))?;
+        let pos = self.sites.binary_search_by_key(&(open - 1), |e| e.0).ok()?;
+        let [callee] = self.sites[pos].1[..] else { return None };
+        let summary = self.summaries[callee].as_ref()?;
+        let implied = if positive { &summary.if_true } else { &summary.if_false };
+        let args = split_at_op(toks, open + 1, close, ",");
+        // Method-call syntax passes the receiver outside the parentheses.
+        let offset = usize::from(
+            summary.params.first().is_some_and(|p| p == "self")
+                && open >= 2
+                && toks[open - 2].tok.is_punct('.'),
+        );
+        let mut env = env.clone();
+        for (idx, val) in implied {
+            let Some(&(alo, ahi)) = idx.checked_sub(offset).and_then(|i| args.get(i)) else {
+                continue;
+            };
+            let Some(name) = single_ident(toks, alo, ahi) else { continue };
+            if let Some(cur) = env.get(&name) {
+                let met = meet_vals(cur, val);
+                env.insert(name, met);
+            }
+        }
+        Some(env)
+    }
+
     /// `(a..=b).contains(&x)` being true bounds `x` on both sides — and
     /// excludes NaN, so bounded float ranges also prove finiteness.
-    fn refine_contains(&self, mut env: Env, name: &str, range: (usize, usize)) -> Env {
-        let (rlo, rhi) = range;
-        let Some(dots) = find_depth0(self.toks, rlo, rhi, |t| matches!(t, Tok::Op(".." | "..=")))
-        else {
-            return env;
-        };
-        let start = self.eval_quiet(&env, rlo, dots).val;
-        let end = self.eval_quiet(&env, dots + 1, rhi).val;
-        match (start, end) {
-            (AbsVal::Int { iv: s, kind }, AbsVal::Int { iv: e, .. }) => {
-                let inclusive = matches!(&self.toks[dots].tok, Tok::Op("..="));
-                let hi = if inclusive || e.hi == POS_INF { e.hi } else { e.hi - 1 };
-                if s.lo <= hi {
-                    let bound = AbsVal::Int { iv: Interval::new(s.lo, hi), kind };
-                    let cur = env.get(name).copied().unwrap_or(AbsVal::Top);
-                    env.insert(name.to_owned(), meet_vals(&cur, &bound));
-                }
+    fn refine_contains(&self, mut env: Env, name: &str, (rlo, rhi): (usize, usize)) -> Env {
+        if let Some(bound) = self.range_value(&env, rlo, rhi) {
+            let cur = env.get(name).copied().unwrap_or(AbsVal::Top);
+            env.insert(name.to_owned(), meet_vals(&cur, &bound));
+        } else if let Some(dots) =
+            find_depth0(self.toks, rlo, rhi, |t| matches!(t, Tok::Op(".." | "..=")))
+        {
+            let start = self.eval_quiet(&env, rlo, dots).val;
+            let end = self.eval_quiet(&env, dots + 1, rhi).val;
+            if let (AbsVal::Float(s), AbsVal::Float(e)) = (start, end) {
+                let facts = FloatFacts {
+                    finite: s.finite && e.finite,
+                    non_negative: s.non_negative,
+                    le_one: e.le_one,
+                    ..FloatFacts::TOP
+                };
+                add_float_facts(&mut env, name, facts);
             }
-            (AbsVal::Float(s), AbsVal::Float(e)) => {
-                add_float_facts(
-                    &mut env,
-                    name,
-                    FloatFacts {
-                        finite: s.finite && e.finite,
-                        non_negative: s.non_negative,
-                        le_one: e.le_one,
-                        non_zero: false,
-                        int_valued: false,
-                    },
-                );
-            }
-            _ => {}
         }
         env
     }
 
     /// Variables written where the evaluator cannot see it — `&mut x`
     /// argument positions anywhere in the statement, and assignment
-    /// targets inside child-closure token ranges — drop to ⊤.
+    /// targets inside child-closure token ranges — drop to ⊤; a
+    /// shrinking call (`xs.pop()`) drops the receiver's length fact.
     fn invalidate_hidden_writes(&self, env: &mut Env, lo: usize, hi: usize) {
         let toks = self.toks;
+        for name in shrunk_names(toks, lo, hi) {
+            env.remove(&len_key(name));
+        }
         for i in lo..hi.min(toks.len()) {
             // `& mut x` (also the first `&` of `&&mut x` via Op("&&")).
             let amp = toks[i].tok.is_punct('&') || toks[i].tok.is_op("&&");
             if amp && toks.get(i + 1).is_some_and(|t| t.tok.is_ident("mut")) {
                 if let Some(Tok::Ident(name)) = toks.get(i + 2).map(|t| &t.tok) {
                     if env.contains_key(name.as_str()) {
-                        kill_pairs(env, name);
+                        kill_facts(env, name);
                         env.insert(name.clone(), AbsVal::Top);
                     }
                 }
@@ -1040,7 +1201,7 @@ impl<'a> FnCx<'a> {
                     _ => false,
                 };
                 if writes && env.contains_key(name.as_str()) {
-                    kill_pairs(env, name);
+                    kill_facts(env, name);
                     env.insert(name.clone(), AbsVal::Top);
                 }
             }
@@ -1066,7 +1227,7 @@ impl<'a> FnCx<'a> {
 
 /// Join of two environments. A variable missing on one side is unbound
 /// on that path (any use there is impossible), so the bound side's value
-/// survives; `#ge` guard facts are *proofs* and survive only when both
+/// survives; `#` guard facts are *proofs* and survive only when both
 /// sides carry them.
 fn join_envs(a: &Env, b: &Env) -> Env {
     let mut out = Env::new();
@@ -1076,14 +1237,14 @@ fn join_envs(a: &Env, b: &Env) -> Env {
                 out.insert(k.clone(), va.join(vb));
             }
             None => {
-                if !k.starts_with(PAIR_PREFIX) {
+                if !is_fact_key(k) {
                     out.insert(k.clone(), *va);
                 }
             }
         }
     }
     for (k, vb) in b {
-        if !a.contains_key(k) && !k.starts_with(PAIR_PREFIX) {
+        if !a.contains_key(k) && !is_fact_key(k) {
             out.insert(k.clone(), *vb);
         }
     }
@@ -1155,14 +1316,16 @@ fn meet_vals(a: &AbsVal, b: &AbsVal) -> AbsVal {
     }
 }
 
-/// Removes `#ge` facts mentioning `name` (called when it is redefined).
-fn kill_pairs(env: &mut Env, name: &str) {
+/// Removes the guard facts mentioning `name` (called when it is
+/// redefined or mutably borrowed).
+fn kill_facts(env: &mut Env, name: &str) {
     env.retain(|k, _| {
-        if !k.starts_with(PAIR_PREFIX) {
-            return true;
+        if let Some(pair) = k.strip_prefix(PAIR_PREFIX) {
+            let mut parts = pair.split(' ');
+            parts.clone().next() != Some(name) && parts.nth(1) != Some(name)
+        } else {
+            k.strip_prefix(LEN_PREFIX) != Some(name)
         }
-        let mut parts = k[PAIR_PREFIX.len()..].split(' ');
-        parts.clone().next() != Some(name) && parts.nth(1) != Some(name)
     });
 }
 
@@ -1177,8 +1340,9 @@ fn add_float_facts(env: &mut Env, name: &str, facts: FloatFacts) {
 }
 
 /// Meets `env[name]` against a comparison with abstract value `other`:
-/// `name OP other` is known true.
-fn refine_by_cmp(env: &mut Env, name: &str, op: &str, other: &AbsVal) {
+/// `name OP other` is known true. `other_zero` says `other` is a literal
+/// zero, which float facts alone cannot express.
+fn refine_by_cmp(env: &mut Env, name: &str, op: &str, other: &AbsVal, other_zero: bool) {
     let cur = env.get(name).copied().unwrap_or(AbsVal::Top);
     match other {
         AbsVal::Int { iv, .. } => {
@@ -1190,9 +1354,6 @@ fn refine_by_cmp(env: &mut Env, name: &str, op: &str, other: &AbsVal) {
                 ">" => Interval::TOP,
                 ">=" => Interval::new(iv.lo, POS_INF),
                 "==" => *iv,
-                // `x != k` (singleton rhs) trims `k` off whichever end of
-                // `x`'s interval it sits on — the workhorse behind the
-                // `if x == 0 { break } x -= 1` idiom.
                 // `x != k` (singleton rhs) trims `k` off whichever end of
                 // `x`'s interval it sits on — the workhorse behind the
                 // `if x == 0 { break } x -= 1` idiom. When the trim
@@ -1230,6 +1391,7 @@ fn refine_by_cmp(env: &mut Env, name: &str, op: &str, other: &AbsVal) {
                 },
                 "<=" | "<" => FloatFacts { le_one: facts.le_one, ..FloatFacts::TOP },
                 "==" => *facts,
+                "!=" => FloatFacts { non_zero: other_zero, ..FloatFacts::TOP },
                 _ => FloatFacts::TOP,
             };
             add_float_facts(env, name, proven);
@@ -1300,19 +1462,21 @@ fn matching_close(toks: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// Splits `[lo, hi)` at top-level `&&` into conjunct ranges.
-fn split_conjuncts(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> {
+/// Splits `[lo, hi)` at top-level `op` (`&&`, `||`, `,`) into ranges.
+fn split_at_op(toks: &[Token], lo: usize, hi: usize, op: &str) -> Vec<(usize, usize)> {
+    let is_op = |t: &Tok| if op == "," { t.is_punct(',') } else { t.is_op(op) };
     let mut out = Vec::new();
     let mut start = lo;
     let mut at = lo;
-    while let Some(i) = find_depth0(toks, at, hi, |t| t.is_op("&&")) {
+    while let Some(i) = find_depth0(toks, at, hi, is_op) {
         // A `&&` directly after an operator or opener is a double
-        // reference (`x == &&y` is not real code, but `f(&&x)` is).
-        let prefix = i == start
-            || matches!(
-                toks.get(i.wrapping_sub(1)).map(|t| &t.tok),
-                Some(Tok::Punct('(' | '[' | '{' | ',' | '=')) | Some(Tok::Op(_))
-            );
+        // reference (`f(&&x)`), a `||` there a parameterless closure.
+        let prefix = op != ","
+            && (i == start
+                || matches!(
+                    toks.get(i.wrapping_sub(1)).map(|t| &t.tok),
+                    Some(Tok::Punct('(' | '[' | '{' | ',' | '=')) | Some(Tok::Op(_))
+                ));
         if prefix {
             at = i + 1;
             continue;
@@ -1323,6 +1487,74 @@ fn split_conjuncts(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> 
     }
     out.push((start, hi));
     out
+}
+
+/// `let (a, mut b) = (x, y);` over the statement range `[lo, hi)`: each
+/// bound name with its initializer element's range, when both sides are
+/// flat, unannotated tuples of the same arity.
+fn tuple_binding(toks: &[Token], lo: usize, hi: usize) -> Option<Vec<(String, (usize, usize))>> {
+    let eq = find_depth0(toks, lo, hi, |t| t.is_punct('='))?;
+    let inner = |open: usize| -> Option<(usize, usize)> {
+        if !toks.get(open)?.tok.is_punct('(') {
+            return None;
+        }
+        let close = matching_close(toks, open)?;
+        Some((open + 1, close))
+    };
+    let (plo, phi) = inner(lo + 1).filter(|&(_, close)| close + 1 == eq)?;
+    let (ilo, ihi) = inner(eq + 1)?;
+    let pats = split_at_op(toks, plo, phi, ",");
+    let inits = split_at_op(toks, ilo, ihi, ",");
+    if pats.len() != inits.len() {
+        return None;
+    }
+    pats.iter()
+        .zip(inits)
+        .map(|(&(a, b), init)| {
+            let a = if toks[a].tok.is_ident("mut") { a + 1 } else { a };
+            Some((single_ident(toks, a, b)?, init))
+        })
+        .collect()
+}
+
+/// The index name of an `(i, …)` item pattern starting at `pat` when the
+/// iterator chain ending just before `chain_end` ends in `.enumerate()`.
+fn enumerate_index(toks: &[Token], pat: usize, chain_end: usize) -> Option<String> {
+    let tail = toks.get(chain_end.checked_sub(4)?..chain_end)?;
+    let enumerates = tail[0].tok.is_punct('.')
+        && tail[1].tok.is_ident("enumerate")
+        && tail[2].tok.is_punct('(')
+        && tail[3].tok.is_punct(')');
+    let tuple = toks.get(pat)?.tok.is_punct('(') && toks.get(pat + 2)?.tok.is_punct(',');
+    if !enumerates || !tuple {
+        return None;
+    }
+    single_ident(toks, pat + 1, pat + 2)
+}
+
+/// Receivers of [`SHRINKING`] method calls in `[lo, hi)`.
+fn shrunk_names(toks: &[Token], lo: usize, hi: usize) -> impl Iterator<Item = &str> {
+    let hi = hi.min(toks.len());
+    (lo..hi.saturating_sub(2)).filter_map(move |i| match (&toks[i].tok, &toks[i + 2].tok) {
+        (Tok::Ident(recv), Tok::Ident(m))
+            if toks[i + 1].tok.is_punct('.') && SHRINKING.contains(&m.as_str()) =>
+        {
+            Some(recv.as_str())
+        }
+        _ => None,
+    })
+}
+
+/// Whether `[lo, hi)` is a single zero literal (`0`, `0.0`, `0f64`).
+fn zero_literal(toks: &[Token], lo: usize, hi: usize) -> bool {
+    hi == lo + 1
+        && match toks.get(lo).map(|t| &t.tok) {
+            Some(Tok::Float(text)) => {
+                eval::parse_float_literal(text).is_some_and(|v| !FloatFacts::of_value(v).non_zero)
+            }
+            Some(Tok::Int(text)) => eval::parse_int_literal(text).is_some_and(|(v, _)| v == 0),
+            _ => false,
+        }
 }
 
 /// The single identifier a range consists of, parens stripped.
@@ -1529,12 +1761,7 @@ fn declared_ret(toks: &[Token], sig: (usize, usize)) -> Option<String> {
 
 /// The declared type of parameter `name` in the signature: finds
 /// `name: TYPE` at parameter-list depth.
-fn param_type(
-    toks: &[Token],
-    sig: (usize, usize),
-    name: &str,
-    _is_closure: bool,
-) -> Option<String> {
+fn param_type(toks: &[Token], sig: (usize, usize), name: &str) -> Option<String> {
     let (lo, hi) = (sig.0, sig.1.min(toks.len()));
     for i in lo..hi {
         let Tok::Ident(n) = &toks[i].tok else { continue };

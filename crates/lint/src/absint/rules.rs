@@ -1,8 +1,9 @@
-//! The four interval-powered rules riding the determinism/parallel
-//! cones. Each one consumes the events the reporting pass collected and
-//! keeps only what the converged intervals *cannot* prove safe — the
-//! finding's final path hop renders the offending intervals, so the
-//! report shows exactly what the analysis knew at the site.
+//! The interval-powered rules. Each one consumes the events the
+//! reporting pass collected and keeps only what the converged intervals
+//! *cannot* prove safe — the finding's final path hop renders the
+//! offending values, so the report shows exactly what the analysis knew
+//! at the site. Every rule rides the determinism/parallel cones except
+//! float→int casts, which are checked in all library and binary code.
 
 use crate::rules::{Finding, Severity};
 use crate::sema::{Model, SemaRule};
@@ -26,32 +27,65 @@ pub struct ArithWideningNeeded;
 /// caller's interval cannot prove, through a path with no clamp.
 pub struct RangeInvariantEscape;
 
-/// `cast-truncating-unproven` — the interval-refined successor of the
-/// lexical `float-int-cast` rule: an `as` cast is silenced when the
-/// operand's range proves it lossless and flagged with that range
-/// rendered otherwise.
+/// `cast-truncating-unproven` — an `as` cast to an integer type the
+/// operand's range does not prove lossless: a float that is not proven
+/// finite, integer-valued and (for unsigned targets) non-negative, or an
+/// integer whose interval escapes a narrower target.
 pub struct CastTruncatingUnproven;
 
-/// Shared per-node iteration: cone gate, event loop, path assembly.
-fn for_each_event(model: &Model, mut visit: impl FnMut(usize, usize, &Event, Vec<String>)) {
+/// `flow-unchecked-div` — a `/` or `/=` whose divisor the analysis
+/// cannot prove nonzero: an integer interval containing 0 (a panic) or
+/// a float without the `!=0` fact (a silent `NaN`/`inf` that poisons
+/// every downstream cube cell).
+pub struct FlowUncheckedDiv;
+
+/// One event site: the node and statement it fired in, and whether the
+/// node sits in the det/par cones.
+struct Site<'m, 'a> {
+    model: &'m Model<'a>,
+    id: usize,
+    stmt_id: usize,
+    in_cone: bool,
+}
+
+impl Site<'_, '_> {
+    /// Emits a finding at token `at` with the path root → node →
+    /// statement → `last_hop` (nodes outside the cones are their own
+    /// root).
+    fn emit(&self, rule: &dyn SemaRule, at: usize, last_hop: String, out: &mut Vec<Finding>) {
+        let model = self.model;
+        let node = &model.nodes[self.id];
+        let ids = model
+            .det
+            .path_to(self.id)
+            .or_else(|| model.par.path_to(self.id))
+            .unwrap_or_else(|| vec![self.id]);
+        let mut path = model.render_path(&ids);
+        if let Some(flow) = model.flows[self.id].as_ref() {
+            path.push(model.stmt_hop(self.id, flow.stmt(self.stmt_id)));
+        }
+        path.push(last_hop);
+        let line = model.files[node.file].lexed.tokens[at].line;
+        model.emit(rule, node.file, line, path, out);
+    }
+}
+
+/// Shared per-node iteration: test gate and event loop. Rules that ride
+/// the cones check [`Site::in_cone`] themselves.
+fn for_each_event(model: &Model, mut visit: impl FnMut(&Site, &Event)) {
     for id in 0..model.nodes.len() {
         let node = &model.nodes[id];
-        if node.in_test || !(model.det.reached(id) || model.par.reached(id)) {
+        if node.in_test {
             continue;
         }
         let Some(fa) = model.absint.fns[id].as_ref() else { continue };
-        let Some(flow) = model.flows[id].as_ref() else { continue };
         let file = &model.files[node.file];
+        let in_cone = model.det.reached(id) || model.par.reached(id);
         for &(stmt_id, ref event) in &fa.events {
-            let line = file.lexed.tokens[event.at()].line;
-            if file.in_test_span(line) {
+            if file.in_test_span(file.lexed.tokens[event.at()].line) {
                 continue;
             }
-            let ids =
-                model.det.path_to(id).or_else(|| model.par.path_to(id)).unwrap_or_else(|| vec![id]);
-            let mut path = model.render_path(&ids);
-            path.push(model.stmt_hop(id, flow.stmt(stmt_id)));
-            visit(id, stmt_id, event, path);
+            visit(&Site { model, id, stmt_id, in_cone }, event);
         }
     }
 }
@@ -70,8 +104,11 @@ impl SemaRule for ArithUncheckedSub {
     }
 
     fn check(&self, model: &Model, out: &mut Vec<Finding>) {
-        for_each_event(model, |id, stmt_id, event, mut path| {
+        for_each_event(model, |site, event| {
             let Event::UncheckedSub { at, lhs, rhs, lhs_name, rhs_name } = event else { return };
+            if !site.in_cone {
+                return;
+            }
             // Interval proof: the smallest lhs is at least the largest rhs.
             if let (Some(li), Some(ri)) = (lhs.interval(), rhs.interval()) {
                 if li.lo >= ri.hi {
@@ -80,22 +117,20 @@ impl SemaRule for ArithUncheckedSub {
             }
             // Guard proof: a dominating `lhs >= rhs` comparison.
             if let (Some(l), Some(r)) = (lhs_name, rhs_name) {
-                let proven = model.absint.fns[id]
+                let proven = model.absint.fns[site.id]
                     .as_ref()
-                    .and_then(|fa| fa.envs.get(stmt_id).and_then(Option::as_ref))
+                    .and_then(|fa| fa.envs.get(site.stmt_id).and_then(Option::as_ref))
                     .is_some_and(|env| env.contains_key(&pair_key(l, r)));
                 if proven {
                     return;
                 }
             }
-            path.push(format!(
+            let hop = format!(
                 "cannot prove lhs >= rhs: lhs in {}, rhs in {}",
                 lhs.render(),
                 rhs.render()
-            ));
-            let node = &model.nodes[id];
-            let line = model.files[node.file].lexed.tokens[*at].line;
-            model.emit(self, node.file, line, path, out);
+            );
+            site.emit(self, *at, hop, out);
         });
     }
 }
@@ -114,8 +149,11 @@ impl SemaRule for ArithWideningNeeded {
     }
 
     fn check(&self, model: &Model, out: &mut Vec<Finding>) {
-        for_each_event(model, |id, _stmt_id, event, mut path| {
+        for_each_event(model, |site, event| {
             let Event::Overflow { at, op, kind, lhs, rhs, result } = event else { return };
+            if !site.in_cone {
+                return;
+            }
             // Only the widest native types: narrower ones have an obvious
             // in-language fix (use the next size up) that the compiler's
             // own lints already push toward, and usize/isize arithmetic
@@ -131,15 +169,13 @@ impl SemaRule for ArithWideningNeeded {
             if lhs.hi >= fence.hi || rhs.hi >= fence.hi {
                 return;
             }
-            path.push(format!(
+            let hop = format!(
                 "{} {op} {} gives {result}, escaping {}; widen to i128",
                 lhs,
                 rhs,
                 kind.name()
-            ));
-            let node = &model.nodes[id];
-            let line = model.files[node.file].lexed.tokens[*at].line;
-            model.emit(self, node.file, line, path, out);
+            );
+            site.emit(self, *at, hop, out);
         });
     }
 }
@@ -158,18 +194,17 @@ impl SemaRule for RangeInvariantEscape {
     }
 
     fn check(&self, model: &Model, out: &mut Vec<Finding>) {
-        for_each_event(model, |id, _stmt_id, event, path| {
+        for_each_event(model, |site, event| {
             let Event::Call { at, args } = event else { return };
-            let node = &model.nodes[id];
-            let toks = &model.files[node.file].lexed.tokens;
-            // Unique resolution only: over-approximated method candidates
-            // would blame a caller for every same-named method's asserts.
-            let Ok(pos) = model.call_sites[id].binary_search_by_key(at, |e| e.0) else { return };
-            let [callee] = model.call_sites[id][pos].1[..] else { return };
-            let Some(summary) = model.absint.summaries[callee].as_ref() else { return };
-            if summary.requires.is_empty() {
+            if !site.in_cone {
                 return;
             }
+            // Unique resolution only: over-approximated method candidates
+            // would blame a caller for every same-named method's asserts.
+            let sites = &model.call_sites[site.id];
+            let Ok(pos) = sites.binary_search_by_key(at, |e| e.0) else { return };
+            let [callee] = sites[pos].1[..] else { return };
+            let Some(summary) = model.absint.summaries[callee].as_ref() else { return };
             // Method calls pass the receiver outside the argument list.
             let offset = usize::from(summary.params.first().is_some_and(|p| p == "self"));
             for (idx, name, required) in &summary.requires {
@@ -188,14 +223,13 @@ impl SemaRule for RangeInvariantEscape {
                 if satisfied {
                     continue;
                 }
-                let mut path = path.clone();
-                path.push(format!(
+                let hop = format!(
                     "argument `{name}` in {} cannot prove {} required by {}",
                     arg.render(),
                     required.render(),
                     model.nodes[callee].qname
-                ));
-                model.emit(self, node.file, toks[*at].line, path, out);
+                );
+                site.emit(self, *at, hop, out);
             }
         });
     }
@@ -215,28 +249,66 @@ impl SemaRule for CastTruncatingUnproven {
     }
 
     fn check(&self, model: &Model, out: &mut Vec<Finding>) {
-        for_each_event(model, |id, _stmt_id, event, mut path| {
+        for_each_event(model, |site, event| {
             let Event::Cast { at, from, to, proven, from_float } = event else { return };
             if *proven {
                 return;
             }
-            // Float sources are always in scope (the PR 2 rule's beat);
-            // int sources only when the cast actually narrows — an
-            // unknown u32 "failing" to prove a u32→u64 widening is a
-            // vacuous finding.
-            if !*from_float {
+            // Float sources are in scope in all runtime code: truncation
+            // toward zero, saturation and NaN → 0 are silent anywhere.
+            // Int sources only inside the cones and only when the cast
+            // actually narrows — an unknown u32 "failing" to prove a
+            // u32→u64 widening is a vacuous finding.
+            if *from_float {
+                let file = &model.files[model.nodes[site.id].file];
+                if !site.in_cone && !file.is_runtime_code(file.lexed.tokens[*at].line) {
+                    return;
+                }
+            } else {
                 let narrows = matches!(
                     from,
                     AbsVal::Int { kind: Some(k), .. } if k.bits() > to.bits()
                 );
-                if !narrows {
+                if !narrows || !site.in_cone {
                     return;
                 }
             }
-            path.push(format!("cast of {} to {} not proven lossless", from.render(), to.name()));
-            let node = &model.nodes[id];
-            let line = model.files[node.file].lexed.tokens[*at].line;
-            model.emit(self, node.file, line, path, out);
+            let hop = format!("cast of {} to {} not proven lossless", from.render(), to.name());
+            site.emit(self, *at, hop, out);
+        });
+    }
+}
+
+impl SemaRule for FlowUncheckedDiv {
+    fn id(&self) -> &'static str {
+        "flow-unchecked-div"
+    }
+
+    fn summary(&self) -> &'static str {
+        "division whose divisor's interval or float facts do not exclude zero"
+    }
+
+    fn default_severity(&self) -> Severity {
+        Severity::Deny
+    }
+
+    fn check(&self, model: &Model, out: &mut Vec<Finding>) {
+        for_each_event(model, |site, event| {
+            let Event::Div { at, divisor } = event else { return };
+            if !site.in_cone {
+                return;
+            }
+            let proven = match divisor {
+                AbsVal::Int { iv, .. } => !iv.contains(0),
+                AbsVal::Float(facts) => facts.non_zero,
+                // A divisor of unknown type (a field, an opaque call, a
+                // user type with its own `Div`) is out of scope.
+                AbsVal::Top | AbsVal::Bool => true,
+            };
+            if !proven {
+                let hop = format!("divisor in {} not proven nonzero", divisor.render());
+                site.emit(self, *at, hop, out);
+            }
         });
     }
 }
@@ -350,5 +422,20 @@ mod tests {
         assert_eq!(findings(&CastTruncatingUnproven, narrowing).len(), 1);
         let bounded = "pub fn run_study(n: u64) -> u32 { n.min(65_535) as u32 }\n";
         assert!(findings(&CastTruncatingUnproven, bounded).is_empty());
+    }
+
+    #[test]
+    fn divisions_need_a_fact_about_their_own_divisor() {
+        // `top_k(…, qs.len(), …)` may return fewer entries than asked
+        // for: asserting `qs` non-empty says nothing about `entries`.
+        let other = "pub fn run_study(qs: &[u32], entries: &[f64]) -> f64 {\n\
+                         assert!(!qs.is_empty());\n\
+                         entries.iter().sum::<f64>() / entries.len() as f64\n\
+                     }\n";
+        let out = findings(&FlowUncheckedDiv, other);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].path.last().expect("hop").ends_with("not proven nonzero"));
+        let own = other.replace("!qs.is_empty()", "!entries.is_empty()");
+        assert!(findings(&FlowUncheckedDiv, &own).is_empty());
     }
 }

@@ -118,13 +118,6 @@ pub fn run(root: &Path, config: &Config, baseline: &Baseline, registry: &Registr
     registry.counter("lint.absint.max_scc").add(model.absint.max_scc_len as u64);
     registry.counter("lint.absint.consts").add(model.absint.consts.len() as u64);
 
-    // Interval-proof refinement of the lexical cast rule: drop
-    // `float-int-cast` findings on lines the abstract interpreter either
-    // proved lossless or re-reports as `cast-truncating-unproven`.
-    let interval_checked = model.interval_checked_cast_lines();
-    raw.retain(|(f, _)| {
-        f.rule != "float-int-cast" || !interval_checked.contains(&(f.file.clone(), f.line))
-    });
     let labels: std::collections::BTreeMap<&str, &str> =
         sources.iter().map(|f| (f.path.as_str(), f.crate_label.as_str())).collect();
     for rule in crate::sema::all_sema_rules() {

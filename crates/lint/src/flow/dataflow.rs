@@ -1,8 +1,7 @@
 //! A small forward-dataflow engine over [`Cfg`](super::cfg::Cfg)-shaped
 //! successor lists: bitset facts, per-node gen/kill transfer functions,
-//! and a worklist solver. Two meets cover both analyses the sema pass
-//! needs — union for *may* facts (reaching definitions) and intersection
-//! for *must* facts (guard conditions established on every path).
+//! and a worklist solver for *may* facts (a fact holds where it holds on
+//! any incoming path) — reaching definitions.
 
 use std::collections::VecDeque;
 
@@ -17,25 +16,6 @@ impl BitSet {
     /// The empty set over a universe of `bits` facts.
     pub fn empty(bits: usize) -> BitSet {
         BitSet { words: vec![0; bits.div_ceil(64)], bits }
-    }
-
-    /// The full set over a universe of `bits` facts.
-    pub fn full(bits: usize) -> BitSet {
-        let mut set = BitSet::empty(bits);
-        for word in &mut set.words {
-            *word = u64::MAX;
-        }
-        set.clear_tail();
-        set
-    }
-
-    fn clear_tail(&mut self) {
-        let tail = self.bits % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= u64::MAX >> (64 - tail);
-            }
-        }
     }
 
     /// Number of facts in the universe (not the population count).
@@ -65,17 +45,6 @@ impl BitSet {
         changed
     }
 
-    /// `self ∩= other`; reports whether `self` changed.
-    pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            let next = *w & o;
-            changed |= next != *w;
-            *w = next;
-        }
-        changed
-    }
-
     /// `self −= other` (set difference).
     pub fn subtract(&mut self, other: &BitSet) {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
@@ -89,17 +58,6 @@ impl BitSet {
     }
 }
 
-/// How facts from multiple predecessors combine at a join point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Meet {
-    /// *May* analysis: a fact holds if it held on any incoming path
-    /// (reaching definitions). Out-sets start empty and grow.
-    Union,
-    /// *Must* analysis: a fact holds only if it held on every incoming
-    /// path (established guards). Out-sets start full and shrink.
-    Intersect,
-}
-
 /// Per-node in/out fact sets after the solver converges.
 #[derive(Debug, Clone)]
 pub struct Solution {
@@ -110,17 +68,10 @@ pub struct Solution {
 }
 
 /// Solves the forward dataflow problem `out[n] = gen[n] ∪ (in[n] − kill[n])`
-/// over `succ` by worklist iteration until fixpoint. `gen`, `kill`, and
-/// `succ` must all have one entry per node; the entry node starts with an
-/// empty in-set under both meets (nothing is established before the body
-/// runs). Unreachable nodes keep the meet's identity in-set.
-pub fn solve(
-    succ: &[Vec<usize>],
-    entry: usize,
-    gen: &[BitSet],
-    kill: &[BitSet],
-    meet: Meet,
-) -> Solution {
+/// with `in[n] = ∪ out[pred]` over `succ` by worklist iteration until
+/// fixpoint. `gen`, `kill`, and `succ` must all have one entry per node;
+/// in-sets start empty and only grow.
+pub fn solve(succ: &[Vec<usize>], gen: &[BitSet], kill: &[BitSet]) -> Solution {
     let n = succ.len();
     let bits = gen.first().map(BitSet::universe).unwrap_or(0);
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -130,46 +81,24 @@ pub fn solve(
         }
     }
 
-    let identity = |node: usize| {
-        if node == entry || meet == Meet::Union {
-            BitSet::empty(bits)
-        } else {
-            BitSet::full(bits)
-        }
-    };
-    let mut ins: Vec<BitSet> = (0..n).map(identity).collect();
-    let mut outs: Vec<BitSet> = (0..n).map(identity).collect();
+    let mut ins: Vec<BitSet> = vec![BitSet::empty(bits); n];
     // Seed every node's out with its own transfer so single-visit nodes
     // are correct even before any propagation reaches them.
-    for node in 0..n {
-        let mut out = ins[node].clone();
-        out.subtract(&kill[node]);
-        out.union_with(&gen[node]);
-        outs[node] = out;
-    }
+    let mut outs: Vec<BitSet> = (0..n)
+        .map(|node| {
+            let mut out = BitSet::empty(bits);
+            out.union_with(&gen[node]);
+            out
+        })
+        .collect();
 
     let mut queue: VecDeque<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(node) = queue.pop_front() {
         queued[node] = false;
-        let mut inset = identity(node);
-        for (i, &p) in preds[node].iter().enumerate() {
-            match meet {
-                Meet::Union => {
-                    inset.union_with(&outs[p]);
-                }
-                Meet::Intersect => {
-                    if node == entry {
-                        // Back edges into the entry never *add* facts.
-                        continue;
-                    }
-                    if i == 0 {
-                        inset = outs[p].clone();
-                    } else {
-                        inset.intersect_with(&outs[p]);
-                    }
-                }
-            }
+        let mut inset = BitSet::empty(bits);
+        for &p in &preds[node] {
+            inset.union_with(&outs[p]);
         }
         let mut out = inset.clone();
         out.subtract(&kill[node]);
@@ -207,28 +136,8 @@ mod tests {
         let succ = vec![vec![1, 2], vec![3], vec![3], vec![]];
         let gen = vec![set(2, &[]), set(2, &[0]), set(2, &[1]), set(2, &[])];
         let kill = vec![set(2, &[]), set(2, &[1]), set(2, &[0]), set(2, &[])];
-        let sol = solve(&succ, 0, &gen, &kill, Meet::Union);
+        let sol = solve(&succ, &gen, &kill);
         assert_eq!(sol.ins[3], set(2, &[0, 1]), "both branches' defs reach the join");
-    }
-
-    #[test]
-    fn must_facts_intersect_over_a_diamond() {
-        // Only one branch establishes fact 0: it must NOT hold at the join.
-        let succ = vec![vec![1, 2], vec![3], vec![3], vec![]];
-        let gen = vec![set(1, &[]), set(1, &[0]), set(1, &[]), set(1, &[])];
-        let kill = vec![set(1, &[]); 4];
-        let sol = solve(&succ, 0, &gen, &kill, Meet::Intersect);
-        assert!(!sol.ins[3].contains(0), "guard only on one path");
-        assert!(sol.outs[1].contains(0));
-    }
-
-    #[test]
-    fn must_facts_survive_when_every_path_establishes_them() {
-        let succ = vec![vec![1, 2], vec![3], vec![3], vec![]];
-        let gen = vec![set(1, &[]), set(1, &[0]), set(1, &[0]), set(1, &[])];
-        let kill = vec![set(1, &[]); 4];
-        let sol = solve(&succ, 0, &gen, &kill, Meet::Intersect);
-        assert!(sol.ins[3].contains(0), "guard on every path");
     }
 
     #[test]
@@ -238,15 +147,8 @@ mod tests {
         let succ = vec![vec![1], vec![2], vec![1, 3], vec![]];
         let gen = vec![set(1, &[0]), set(1, &[]), set(1, &[]), set(1, &[])];
         let kill = vec![set(1, &[]), set(1, &[]), set(1, &[0]), set(1, &[])];
-        let sol = solve(&succ, 0, &gen, &kill, Meet::Union);
+        let sol = solve(&succ, &gen, &kill);
         assert!(!sol.ins[3].contains(0));
         assert!(sol.ins[1].contains(0), "first iteration still sees it");
-    }
-
-    #[test]
-    fn full_sets_mask_the_tail_bits() {
-        let s = BitSet::full(70);
-        assert_eq!(s.iter().count(), 70);
-        assert!(!s.contains(70));
     }
 }

@@ -1,7 +1,6 @@
-//! Token-level def/use and guard scanners shared by the statement parser
-//! and the flow rules: which identifiers a pattern binds, which a range
-//! reads, whether a statement establishes a zero/emptiness test for a
-//! variable, and whether a definition is intrinsically nonzero-safe.
+//! Token-level def/use scanners shared by the statement parser and the
+//! flow rules: which identifiers a pattern binds and which a range
+//! reads.
 
 use crate::lexer::{Tok, Token};
 use crate::parser::is_keyword;
@@ -58,7 +57,7 @@ pub fn pattern_bindings(toks: &[Token], lo: usize, hi: usize) -> Vec<String> {
         if matches!(next, Some(t) if t.is_punct(':') || t.is_op("::")) {
             continue; // field name or path segment
         }
-        let prev = (at > lo).then(|| &toks[at - 1].tok);
+        let prev = toks[lo..at].last().map(|t| &t.tok);
         if matches!(prev, Some(t) if t.is_op("::")) {
             continue; // path tail (`module::constant`)
         }
@@ -67,162 +66,6 @@ pub fn pattern_bindings(toks: &[Token], lo: usize, hi: usize) -> Vec<String> {
         }
     }
     out
-}
-
-/// Function names whose call blesses an argument as zero-checked.
-const GUARD_FNS: &[&str] = &["approx_zero", "is_zero", "non_zero", "nonzero"];
-
-/// Method names that establish a value/shape test on their receiver.
-const GUARD_METHODS: &[&str] =
-    &["is_empty", "is_finite", "is_nan", "is_normal", "is_sign_positive"];
-
-/// Whether `toks[lo..hi]` *tests* `var`: compares it (possibly through a
-/// method chain) against a literal or constant, passes it to a guard
-/// function like `approx_zero`, or calls a guard method on it. This is
-/// the gen-set oracle for the must-TESTED analysis — deliberately
-/// lenient, since a test of any shape signals the author considered the
-/// degenerate case.
-pub fn tests_var(toks: &[Token], lo: usize, hi: usize, var: &str) -> bool {
-    let lo = lo.min(toks.len());
-    let hi = hi.min(toks.len());
-    for at in lo..hi {
-        if !toks[at].tok.is_ident(var) {
-            continue;
-        }
-        if at >= 2 {
-            // `approx_zero(var)` / `assert_nonzero(var)`-style guard calls.
-            if toks[at - 1].tok.is_punct('(')
-                && matches!(&toks[at - 2].tok, Tok::Ident(f) if GUARD_FNS.iter().any(|g| f.contains(g)))
-            {
-                return true;
-            }
-            // `LIT < var` / `0.0 != var`: comparison with the literal first.
-            if is_comparison(&toks[at - 1].tok)
-                && matches!(&toks[at - 2].tok, Tok::Int(_) | Tok::Float(_))
-            {
-                return true;
-            }
-        }
-        // Forward: walk the method/field/cast chain off `var`, then look
-        // for a guard method or a comparison against a literal/constant.
-        let mut j = at + 1;
-        loop {
-            match toks.get(j).map(|t| &t.tok) {
-                Some(Tok::Punct('.')) => match toks.get(j + 1).map(|t| &t.tok) {
-                    Some(Tok::Ident(m)) => {
-                        if GUARD_METHODS.contains(&m.as_str()) {
-                            return true;
-                        }
-                        j += 2;
-                        // Optional call parens on the chain segment.
-                        if matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Punct('('))) {
-                            j = match skip_group(toks, j, hi) {
-                                Some(after) => after,
-                                None => break,
-                            };
-                        }
-                    }
-                    Some(Tok::Int(_)) => j += 2, // tuple field `.0`
-                    _ => break,
-                },
-                Some(Tok::Ident(k)) if k == "as" => j += 2, // `as f64`
-                Some(t) if is_comparison(t) => {
-                    let against_const = match toks.get(j + 1).map(|t| &t.tok) {
-                        Some(Tok::Int(_) | Tok::Float(_)) => true,
-                        Some(Tok::Ident(c)) => is_const_like(c),
-                        _ => false,
-                    };
-                    if against_const {
-                        return true;
-                    }
-                    break; // var-to-var comparison: try later occurrences
-                }
-                _ => break,
-            }
-        }
-    }
-    false
-}
-
-fn is_comparison(tok: &Tok) -> bool {
-    matches!(tok, Tok::Punct('<' | '>')) || matches!(tok, Tok::Op("==" | "!=" | "<=" | ">="))
-}
-
-/// Uppercase-leading idents read as constants (`EPS`, `MIN_TOTAL`).
-fn is_const_like(name: &str) -> bool {
-    name.starts_with(|c: char| c.is_ascii_uppercase())
-}
-
-/// Skips a balanced `( … )` / `[ … ]` group starting at `open`; returns
-/// the position after the closer, or `None` if unbalanced before `hi`.
-fn skip_group(toks: &[Token], open: usize, hi: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (at, t) in toks.iter().enumerate().take(hi.min(toks.len())).skip(open) {
-        match &t.tok {
-            Tok::Punct('(' | '[') => depth += 1,
-            Tok::Punct(')' | ']') => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return Some(at + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Whether a definition statement's token range makes the defined value
-/// intrinsically nonzero: a `.max(N)` clamp with a nonzero floor, a
-/// nonzero literal initializer, or a length biased upward (`len() + 1`).
-pub fn def_is_nonzero_safe(toks: &[Token], lo: usize, hi: usize) -> bool {
-    let lo = lo.min(toks.len());
-    let hi = hi.min(toks.len());
-    for at in lo..hi {
-        // `.max(EPS)` / `.max(1)` with a nonzero floor.
-        if at >= 1 {
-            let prev = at - 1;
-            if toks[at].tok.is_ident("max")
-                && toks[prev].tok.is_punct('.')
-                && matches!(toks.get(at + 1).map(|t| &t.tok), Some(Tok::Punct('(')))
-                && nonzero_literal_or_const(toks.get(at + 2).map(|t| &t.tok))
-            {
-                return true;
-            }
-        }
-        // `… .len() + 1` (or any `+ <nonzero int>` after a `len()` call).
-        if toks[at].tok.is_ident("len")
-            && matches!(toks.get(at + 1).map(|t| &t.tok), Some(Tok::Punct('(')))
-            && matches!(toks.get(at + 2).map(|t| &t.tok), Some(Tok::Punct(')')))
-            && matches!(toks.get(at + 3).map(|t| &t.tok), Some(Tok::Punct('+')))
-            && nonzero_literal_or_const(toks.get(at + 4).map(|t| &t.tok))
-        {
-            return true;
-        }
-    }
-    // A bare nonzero-literal initializer: `let n = 4;` / `= 4 as f64;` —
-    // the value after the top-level `=` is a lone literal, optionally cast.
-    if let Some(eq) = (lo..hi).find(|&at| toks[at].tok.is_punct('=')) {
-        let mut vals: Vec<&Tok> =
-            toks[eq + 1..hi].iter().map(|t| &t.tok).filter(|t| !t.is_punct(';')).collect();
-        if vals.len() == 3 && vals[1].is_ident("as") {
-            vals.truncate(1);
-        }
-        if vals.len() == 1 && nonzero_literal_or_const(Some(vals[0])) {
-            return true;
-        }
-    }
-    false
-}
-
-fn nonzero_literal_or_const(tok: Option<&Tok>) -> bool {
-    match tok {
-        // A digit 1–9 anywhere makes "0", "0x0", "0.0" false and keeps
-        // "10", "0x1f", "1e-9" true; suffixed forms like `4u32` survive.
-        Some(Tok::Int(v) | Tok::Float(v)) => v.chars().any(|c| ('1'..='9').contains(&c)),
-        Some(Tok::Ident(c)) => is_const_like(c),
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -241,45 +84,5 @@ mod tests {
         assert!(all.contains(&"px".to_string()) && all.contains(&"opt".to_string()));
         let binds = pattern_bindings(&t, 0, t.len() - 2);
         assert_eq!(binds, vec!["px", "y"]);
-    }
-
-    #[test]
-    fn tests_var_sees_comparisons_and_guards() {
-        let cases = [
-            ("if n > 0 {", "n", true),
-            ("if n == 0 {", "n", true),
-            ("if 0 < n {", "n", true),
-            ("if xs.is_empty() {", "xs", true),
-            ("if !xs.is_empty() {", "xs", true),
-            ("assert!(total > 0.0);", "total", true),
-            ("if approx_zero(d) {", "d", true),
-            ("if n as f64 > EPS {", "n", true),
-            ("if n < m {", "n", false), // var-to-var: not a zero guard
-            ("emit(n);", "n", false),
-            ("if xs.len() > 2 {", "xs", true),
-        ];
-        for (src, var, want) in cases {
-            let t = toks(src);
-            assert_eq!(tests_var(&t, 0, t.len(), var), want, "{src}");
-        }
-    }
-
-    #[test]
-    fn safe_defs() {
-        let cases = [
-            ("let n = xs.len().max(1);", true),
-            ("let d = (hi - lo).max(EPS);", true),
-            ("let n = xs.len() + 1;", true),
-            ("let n = 4;", true),
-            ("let n = 4 as f64;", true),
-            ("let n = 0;", false),
-            ("let n = xs.len();", false),
-            ("let d = hi - lo;", false),
-            ("let n = xs.len().max(0);", false),
-        ];
-        for (src, want) in cases {
-            let t = toks(src);
-            assert_eq!(def_is_nonzero_safe(&t, 0, t.len()), want, "{src}");
-        }
     }
 }

@@ -1,11 +1,13 @@
 //! Body-level flow analysis: a tolerant statement parser
-//! ([`stmt`]), per-function control-flow graphs ([`cfg`]), def/use token
+//! ([`stmt`]), per-function control-flow graphs ([`cfg`](mod@cfg)), def/use token
 //! scanners ([`defuse`]), and a gen/kill worklist dataflow engine
 //! ([`dataflow`]). The sema pass builds one [`FnFlow`] per function-like
 //! node; the flow rules (`par-shared-capture`, `par-float-reduce-order`,
-//! `atomic-relaxed-handoff`, `flow-unchecked-div`) query it for
-//! statement-level paths, reaching definitions, and must-hold guard
-//! facts.
+//! `atomic-relaxed-handoff`) query it for statement-level paths and
+//! reaching definitions, and the interval analysis ([`crate::absint`])
+//! runs over its CFGs. Guard facts — what a comparison or an
+//! `is_empty()` test proves about a value, which is what divisions and
+//! casts need — are absint's, not this module's.
 
 pub mod cfg;
 pub mod dataflow;
@@ -14,14 +16,11 @@ pub mod stmt;
 
 use crate::lexer::{Tok, Token};
 
-use dataflow::{BitSet, Meet, Solution};
+use dataflow::{BitSet, Solution};
 use stmt::{BodyTree, Stmt, StmtId, StmtKind};
 
-/// A function body's flow analysis: statement tree, CFG, and the two
-/// solved dataflow problems every rule shares — *reaching definitions*
-/// (may, over statement ids) and *established tests* (must, over
-/// variable ids: "on every path here, this variable was compared
-/// against a literal / guard function").
+/// A function body's flow analysis: statement tree, CFG, and the solved
+/// *reaching definitions* problem (may, over statement ids).
 #[derive(Debug, Clone)]
 pub struct FnFlow {
     /// Parsed statement arena.
@@ -34,8 +33,6 @@ pub struct FnFlow {
     pub vars: Vec<String>,
     /// Reaching definitions: facts are statement ids.
     pub reach: Solution,
-    /// Must-established tests: facts are `vars` indices.
-    pub tested: Solution,
 }
 
 impl FnFlow {
@@ -61,18 +58,6 @@ impl FnFlow {
             .iter()
             .filter(|&d| self.tree.stmts[d].defs.iter().any(|v| v == name))
             .collect()
-    }
-
-    /// Whether `name` is tested on every path reaching statement `at`,
-    /// or within `at`'s own head (same-statement guards like
-    /// `if approx_zero(d) { 0.0 } else { x / d }` count).
-    pub fn is_tested_at(&self, toks: &[Token], at: StmtId, name: &str) -> bool {
-        if let Some(v) = self.var_id(name) {
-            if self.tested.ins[at].contains(v) {
-                return true;
-            }
-        }
-        stmt_tests(toks, &self.tree.stmts[at], name)
     }
 
     /// The innermost statement whose head token range contains `tok`
@@ -105,18 +90,6 @@ impl FnFlow {
         }
         out
     }
-}
-
-/// Whether a statement's head tokens (and, for `match`, its arm
-/// pattern+guard ranges) test `name`.
-fn stmt_tests(toks: &[Token], stmt: &Stmt, name: &str) -> bool {
-    if defuse::tests_var(toks, stmt.tokens.0, stmt.tokens.1, name) {
-        return true;
-    }
-    if let StmtKind::Match { arm_heads, .. } = &stmt.kind {
-        return arm_heads.iter().any(|&(lo, hi)| defuse::tests_var(toks, lo, hi, name));
-    }
-    false
 }
 
 /// Extracts parameter names from an item's signature token range
@@ -273,27 +246,9 @@ pub fn analyze(
             }
         }
     }
-    let reach = dataflow::solve(&cfg.succ, cfg.entry, &gen, &kill, Meet::Union);
+    let reach = dataflow::solve(&cfg.succ, &gen, &kill);
 
-    // Established tests: facts are variable ids; redefinition kills.
-    let nv = vars.len();
-    let mut tgen = vec![BitSet::empty(nv); n + 1];
-    let mut tkill = vec![BitSet::empty(nv); n + 1];
-    for (id, s) in tree.stmts.iter().enumerate() {
-        for (v, name) in vars.iter().enumerate() {
-            if stmt_tests(toks, s, name) {
-                tgen[id].insert(v);
-            }
-        }
-        for d in &s.defs {
-            if let Ok(v) = vars.binary_search(d) {
-                tkill[id].insert(v);
-            }
-        }
-    }
-    let tested = dataflow::solve(&cfg.succ, cfg.entry, &tgen, &tkill, Meet::Intersect);
-
-    FnFlow { tree, cfg, params, vars, reach, tested }
+    FnFlow { tree, cfg, params, vars, reach }
 }
 
 #[cfg(test)]
@@ -348,24 +303,6 @@ mod tests {
         // Ids: 0 params, 1 let, 2 `x=1`, 3 `x=2`, 4 if, 5 tail.
         let defs = f.reaching_defs(5, "x");
         assert_eq!(defs, vec![2, 3], "both branch writes reach, the init is killed");
-    }
-
-    #[test]
-    fn must_tests_hold_only_on_guarded_paths() {
-        let (toks, f) = flow_of(
-            "fn f(sel: bool, n: f64, m: f64) -> f64 {\n\
-                 if n == 0.0 { return 0.0; }\n\
-                 let a = 1.0 / n;\n\
-                 if sel { assert!(m > 0.0); } else { skip(); }\n\
-                 a + 1.0 / m\n\
-             }\n",
-        );
-        assert!(f.tree.errors.is_empty(), "{:?}", f.tree.errors);
-        // Ids: 0 params, 1 return, 2 if(n), 3 let a, 4 assert, 5 skip,
-        // 6 if(sel), 7 tail.
-        assert!(f.is_tested_at(&toks, 3, "n"), "the early-return test guards n");
-        assert!(f.is_tested_at(&toks, 7, "n"), "n stays tested on every path");
-        assert!(!f.is_tested_at(&toks, 7, "m"), "m is tested on one branch only");
     }
 
     #[test]

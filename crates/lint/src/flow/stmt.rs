@@ -51,13 +51,10 @@ pub enum StmtKind {
         /// Whether a final `else` exists (no fallthrough past the arms).
         has_else: bool,
     },
-    /// `match`: one child list per arm, plus each arm's pattern+guard
-    /// token range (guards establish facts the arm body may rely on).
+    /// `match`: one child list per arm.
     Match {
         /// Arm bodies in source order.
         arms: Vec<Vec<StmtId>>,
-        /// Pattern + guard token ranges, parallel to `arms`.
-        arm_heads: Vec<(usize, usize)>,
     },
     /// `loop` / `while` / `while let` / `for`.
     Loop {
@@ -460,7 +457,6 @@ impl<'a> Parser<'a> {
         let mut uses = defuse::idents_in(self.toks, lo, hi);
         let mut defs: Vec<String> = Vec::new();
         let mut arms = Vec::new();
-        let mut arm_heads = Vec::new();
         if self.at_punct('{') {
             self.pos += 1;
             loop {
@@ -497,7 +493,6 @@ impl<'a> Parser<'a> {
                 if let Some(g) = guard_at {
                     uses.extend(defuse::idents_in(self.toks, g + 1, head_end));
                 }
-                arm_heads.push((head_start, head_end));
                 if matches!(self.tok(self.pos), Some(t) if t.is_op("=>")) {
                     self.pos += 1;
                 }
@@ -530,7 +525,7 @@ impl<'a> Parser<'a> {
         uses.sort();
         uses.dedup();
         self.push(Stmt {
-            kind: StmtKind::Match { arms, arm_heads },
+            kind: StmtKind::Match { arms },
             line: self.line(start),
             tokens: (start, hi),
             defs,
@@ -789,9 +784,8 @@ pub(crate) mod tests {
         assert_eq!(branches.len(), 2);
         assert!(has_else);
         let match_s = &t.stmts[t.root[3]];
-        let StmtKind::Match { arms, arm_heads } = &match_s.kind else { panic!() };
+        let StmtKind::Match { arms } = &match_s.kind else { panic!() };
         assert_eq!(arms.len(), 3);
-        assert_eq!(arm_heads.len(), 3);
         assert!(match_s.defs.contains(&"n".to_string()));
         // The guard read is a use of the match statement.
         assert!(match_s.uses.contains(&"n".to_string()));

@@ -5,8 +5,8 @@
 //!
 //! The pipeline is numeric ranking code end to end — Kendall/Jaccard
 //! distances, EMD over relevance histograms, exposure shares — where a
-//! NaN-unsafe comparator or a raw `f64 ==` silently corrupts the
-//! unfairness cube. The container has no crates.io access, so dylint and
+//! NaN-unsafe comparator, a raw `f64 ==`, a zero divisor or a truncating
+//! cast silently corrupts the unfairness cube. The container has no crates.io access, so dylint and
 //! clippy plugins are unavailable; this crate hand-rolls the three pieces
 //! such a tool needs:
 //!
@@ -18,19 +18,20 @@
 //!   lexical rules (see `fbox-lint --list-rules`);
 //! - [`flow`] — body-level analysis: a tolerant statement parser,
 //!   per-function CFGs with def/use sets, and a gen/kill worklist
-//!   dataflow engine (reaching definitions + must-established guards);
+//!   dataflow engine (reaching definitions);
 //! - [`sema`] — the workspace symbol table, the intra-workspace call
 //!   graph with closure-capture edges, per-node [`flow`] results, and
 //!   the transitive determinism / concurrency rule family (`det-*`,
-//!   `par-*`, `race-static-mut`, `atomic-relaxed-handoff`,
-//!   `flow-unchecked-div`) whose findings carry the full root →
-//!   violation path down to the statement level;
-//! - [`absint`] — the fourth pass: interprocedural abstract
-//!   interpretation over the [`flow`] CFGs (integer intervals with
-//!   widening/narrowing, float range facts, bottom-up function
-//!   summaries over the call graph) powering the `arith-*`,
-//!   `range-invariant-escape`, and `cast-truncating-unproven` rules
-//!   and the interval-proof suppression of lexical cast findings;
+//!   `par-*`, `race-static-mut`, `atomic-relaxed-handoff`) whose
+//!   findings carry the full root → violation path down to the
+//!   statement level;
+//! - [`absint`] — the fourth pass and the one numeric-safety engine:
+//!   interprocedural abstract interpretation over the [`flow`] CFGs
+//!   (integer intervals with widening/narrowing, float range facts,
+//!   bottom-up function summaries over the call graph) powering the
+//!   `arith-*`, `range-invariant-escape`, `cast-truncating-unproven`
+//!   (every float→int cast) and `flow-unchecked-div` (every division)
+//!   rules;
 //! - [`engine`] + [`config`] + [`baseline`] — the workspace walker,
 //!   `Lint.toml` severity/scoping configuration, and the
 //!   `lint-baseline.json` allowlist with stale-entry detection.

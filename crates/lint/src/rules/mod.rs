@@ -4,14 +4,14 @@
 //! Rules are lexical pattern matchers over [`SourceFile`] token streams —
 //! deliberately so: the workspace is offline (no crates.io, so no dylint,
 //! no clippy plugins, no syn) and the domain patterns that corrupt
-//! fairness numbers (NaN-unsafe comparators, raw float equality, silent
-//! float→int truncation) are all visible at token level.
+//! fairness numbers (NaN-unsafe comparators, raw float equality) are
+//! visible at token level. Numeric safety that needs values — casts and
+//! divisions — belongs to the interval analysis in [`crate::absint`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::source::SourceFile;
 
-mod cast;
 mod float_eq;
 mod instant;
 mod must_use;
@@ -100,7 +100,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(float_eq::FloatEq),
         Box::new(nan_sort::NanUnsafeSort),
         Box::new(instant::InstantOutsideTelemetry),
-        Box::new(cast::FloatIntCast),
         Box::new(unsafe_comment::UnsafeNeedsSafetyComment),
         Box::new(process_exit::ProcessExit),
         Box::new(must_use::MissingMustUse),
@@ -120,10 +119,6 @@ pub(crate) fn emit(rule: &dyn Rule, file: &SourceFile, line: u32, out: &mut Vec<
         path: Vec::new(),
     });
 }
-
-/// Integer type names, for cast rules.
-pub(crate) const INT_TYPES: &[&str] =
-    &["usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128"];
 
 #[cfg(test)]
 mod tests {

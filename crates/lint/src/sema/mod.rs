@@ -31,7 +31,6 @@ mod atomic_relaxed_handoff;
 mod det_env_read;
 mod det_hash_iter;
 mod det_wall_clock;
-mod flow_unchecked_div;
 mod par_float_reduce;
 mod par_panic;
 mod par_shared_capture;
@@ -41,7 +40,6 @@ pub use atomic_relaxed_handoff::AtomicRelaxedHandoff;
 pub use det_env_read::DetEnvRead;
 pub use det_hash_iter::DetHashIter;
 pub use det_wall_clock::DetWallClock;
-pub use flow_unchecked_div::FlowUncheckedDiv;
 pub use par_float_reduce::ParFloatReduceOrder;
 pub use par_panic::ParPanicReachable;
 pub use par_shared_capture::ParSharedCapture;
@@ -110,11 +108,11 @@ pub fn all_sema_rules() -> Vec<Box<dyn SemaRule>> {
         Box::new(ParSharedCapture),
         Box::new(ParFloatReduceOrder),
         Box::new(AtomicRelaxedHandoff),
-        Box::new(FlowUncheckedDiv),
         Box::new(absint::rules::ArithUncheckedSub),
         Box::new(absint::rules::ArithWideningNeeded),
         Box::new(absint::rules::RangeInvariantEscape),
         Box::new(absint::rules::CastTruncatingUnproven),
+        Box::new(absint::rules::FlowUncheckedDiv),
     ]
 }
 
@@ -243,9 +241,6 @@ pub struct Model<'a> {
     pub call_sites: Vec<Vec<(usize, Vec<usize>)>>,
     /// The interprocedural abstract interpretation (fourth pass).
     pub absint: absint::Analysis,
-    /// Per-file `(body_start, body_end, node)` intervals for
-    /// innermost-node lookup.
-    intervals: Vec<Vec<(usize, usize, usize)>>,
 }
 
 impl<'a> Model<'a> {
@@ -325,17 +320,6 @@ impl<'a> Model<'a> {
         let det = Reachability::compute(&graph, &det_roots);
         let par = Reachability::compute(&graph, &par_roots);
 
-        // Innermost-node lookup intervals.
-        let mut intervals: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); files.len()];
-        for (id, node) in nodes.iter().enumerate() {
-            if let Some((lo, hi)) = node.body {
-                intervals[node.file].push((lo, hi, id));
-            }
-        }
-        for list in &mut intervals {
-            list.sort_unstable();
-        }
-
         // Body-level flow analysis for every node with a body. Nested
         // *named* fns are separate nodes and are skipped inside their
         // parent; closures stay inline (captured uses must remain
@@ -368,64 +352,12 @@ impl<'a> Model<'a> {
             graph.iter().map(|edges| edges.iter().map(|&(to, _)| to).collect()).collect();
         let absint = absint::analyze(files, &nodes, &plain_graph, &flows, &call_sites);
 
-        Model {
-            files,
-            nodes,
-            graph,
-            det,
-            par,
-            det_roots,
-            par_roots,
-            flows,
-            call_sites,
-            absint,
-            intervals,
-        }
+        Model { files, nodes, graph, det, par, det_roots, par_roots, flows, call_sites, absint }
     }
 
     /// Total number of call-graph edges (for telemetry).
     pub fn edge_count(&self) -> usize {
         self.graph.iter().map(Vec::len).sum()
-    }
-
-    /// `(file path, line)` pairs whose float→int `as` casts the abstract
-    /// interpreter inspected, and which the lexical `float-int-cast`
-    /// rule should therefore skip: *proven* casts are silenced outright
-    /// (the interval demonstrates losslessness), and unproven casts in
-    /// the determinism/parallel cones are superseded by the richer
-    /// `cast-truncating-unproven` finding. Unproven casts *outside* the
-    /// cones stay with the lexical rule, so coverage never shrinks.
-    pub fn interval_checked_cast_lines(&self) -> std::collections::BTreeSet<(String, u32)> {
-        let mut out = std::collections::BTreeSet::new();
-        for (id, fa) in self.absint.fns.iter().enumerate() {
-            let Some(fa) = fa else { continue };
-            let node = &self.nodes[id];
-            let file = &self.files[node.file];
-            let in_cone = !node.in_test && (self.det.reached(id) || self.par.reached(id));
-            for (_, event) in &fa.events {
-                if let absint::eval::Event::Cast { at, proven, from_float: true, .. } = event {
-                    if *proven || in_cone {
-                        out.insert((file.path.clone(), file.lexed.tokens[*at].line));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The innermost function-like node whose body contains token `tok`
-    /// of file `file`.
-    pub fn node_at(&self, file: usize, tok: usize) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (width, node)
-        for &(lo, hi, id) in &self.intervals[file] {
-            if (lo..hi).contains(&tok) {
-                let width = hi - lo;
-                if best.map(|(w, _)| width < w).unwrap_or(true) {
-                    best = Some((width, id));
-                }
-            }
-        }
-        best.map(|(_, id)| id)
     }
 
     /// Renders a statement-level path hop for a statement of `node`:

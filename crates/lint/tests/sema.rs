@@ -224,7 +224,7 @@ fn flow_unchecked_div_paths_root_to_def_to_division() {
     let rule = rule_by_id("flow-unchecked-div");
     let file = load_fixture("flow-unchecked-div", "positive.rs");
     let out = run_rule(rule.as_ref(), &file);
-    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(out.len(), 5, "{out:?}");
     assert_eq!(out[0].line, 16);
     assert_eq!(
         out[0].path,
@@ -232,8 +232,8 @@ fn flow_unchecked_div_paths_root_to_def_to_division() {
             "fixture::positive::run_study (crates/fixture/src/positive.rs:5)",
             "fixture::positive::normalize (crates/fixture/src/positive.rs:9)",
             "fixture::positive::mean (crates/fixture/src/positive.rs:13)",
-            "`let n = xs.len();` (crates/fixture/src/positive.rs:14)",
             "`total / n as f64` (crates/fixture/src/positive.rs:16)",
+            "divisor in f64 {finite, >=0, integer} not proven nonzero",
         ]
     );
 }
@@ -322,7 +322,7 @@ fn cast_truncating_unproven_renders_the_operand_interval() {
     let rule = rule_by_id("cast-truncating-unproven");
     let file = load_fixture("cast-truncating-unproven", "positive.rs");
     let out = run_rule(rule.as_ref(), &file);
-    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(out.len(), 5, "{out:?}");
     assert_eq!(out[0].line, 14);
     assert_eq!(
         out[0].path,
@@ -332,6 +332,15 @@ fn cast_truncating_unproven_renders_the_operand_interval() {
             "fixture::positive::digest (crates/fixture/src/positive.rs:13)",
             "`total as u32` (crates/fixture/src/positive.rs:14)",
             "cast of u64 [0, 18446744073709551615] to u32 not proven lossless",
+        ]
+    );
+    // A float source outside every cone is its own root.
+    assert_eq!(
+        out[1].path,
+        [
+            "fixture::positive::literal_cast (crates/fixture/src/positive.rs:17)",
+            "`0.75 as usize` (crates/fixture/src/positive.rs:18)",
+            "cast of f64 {finite, >=0, <=1, !=0} to usize not proven lossless",
         ]
     );
 }

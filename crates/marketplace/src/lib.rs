@@ -4,16 +4,16 @@
 //! real study crawled 5,361 live queries over 56 cities; this crate
 //! reproduces that input *shape* with a seeded simulator:
 //!
-//! - a [`Population`](population::Population) of 3,311 workers matching
+//! - a [`Population`] of 3,311 workers matching
 //!   the crawl's demographic marginals (Figures 7–8);
 //! - the [56 cities](city::CITIES) and the [8-category job
 //!   taxonomy](jobs::CATEGORIES) with 96 sub-queries, covering exactly
 //!   5,361 offered (sub-query, city) pairs;
-//! - a [`ScoringModel`](scoring::ScoringModel) ranking workers by merit
-//!   signals, minus a configurable [`BiasProfile`](bias::BiasProfile) —
+//! - a [`ScoringModel`] ranking workers by merit
+//!   signals, minus a configurable [`BiasProfile`] —
 //!   the *only* place unfair treatment enters; every downstream number
 //!   emerges from ranked pages through the F-Box;
-//! - a [`Marketplace`](engine::Marketplace) engine producing crawler-eye
+//! - a [`Marketplace`] engine producing crawler-eye
 //!   result pages (ranks and demographics, no scores), and
 //!   [`crawl`](crawl::crawl) to run the full grid.
 

@@ -158,10 +158,10 @@ impl Population {
                 let rating = 3.0 + 2.0 * q(1);
                 let q_jobs = q(2);
                 debug_assert!((0.0..=1.0).contains(&q_jobs), "quantile out of unit range");
-                let jobs_completed = (500.0 * q_jobs) as u32;
+                let jobs_completed = (500.0 * q_jobs).floor() as u32;
                 let q_tenure = q(3);
                 debug_assert!((0.0..=1.0).contains(&q_tenure), "quantile out of unit range");
-                let tenure_days = 10 + (1990.0 * q_tenure) as u32;
+                let tenure_days = 10 + (1990.0 * q_tenure).floor() as u32;
                 let hourly_rate = 15.0 + rng.random_range(0.0..85.0);
                 let badge = q(4) < 0.15;
                 by_city[city].push(workers.len());

@@ -28,10 +28,11 @@ pub fn min_protected(k: usize, p: f64, alpha: f64) -> usize {
     if p <= 0.0 || k == 0 {
         return 0;
     }
-    if p >= 1.0 {
+    // `1 − p ≤ 0` exactly when `p ≥ 1`, and the divisor below needs `q`.
+    let q = 1.0 - p;
+    if q <= 0.0 {
         return k;
     }
-    let q = 1.0 - p;
     // pmf(0) = q^k, then pmf(m+1) = pmf(m) · (k−m)/(m+1) · p/q.
     // k is a list prefix (tens), so q^k cannot underflow meaningfully.
     let mut pmf = q.powi(i32::try_from(k).expect("prefix lengths fit in i32"));

@@ -1,5 +1,5 @@
 //! One module per paper experiment; each returns an
-//! [`ExperimentResult`](taskrabbit_quant::ExperimentResult) with a
+//! [`ExperimentResult`] with a
 //! rendered report and named shape checks.
 
 pub mod figures;

@@ -52,13 +52,21 @@ pub fn category_ranking(fb: &FBox, categories: &[&str]) -> Vec<(String, f64)> {
         .map(|&c| {
             let qs: Vec<u32> = u.queries_in_category(c).iter().map(|q| q.0).collect();
             assert!(!qs.is_empty(), "unknown category {c:?}");
-            let r = fb.top_k(
-                Dimension::Query,
-                qs.len(),
-                RankOrder::MostUnfair,
-                &Restriction { queries: Some(qs), ..Default::default() },
-            );
-            let avg = r.entries.iter().map(|e| e.1).sum::<f64>() / r.entries.len() as f64;
+            let entries = fb
+                .top_k(
+                    Dimension::Query,
+                    qs.len(),
+                    RankOrder::MostUnfair,
+                    &Restriction { queries: Some(qs), ..Default::default() },
+                )
+                .entries;
+            // `top_k` returns fewer than `k` entries for queries with no
+            // cells, none at all when the whole category is missing; the
+            // mean of nothing is undefined.
+            if entries.is_empty() {
+                return (c.to_string(), f64::NAN);
+            }
+            let avg = entries.iter().map(|e| e.1).sum::<f64>() / entries.len() as f64;
             (c.to_string(), avg)
         })
         .collect();

@@ -4,7 +4,7 @@
 //! "Fairness in Online Jobs"), and live audits do not get clean data:
 //! requests time out, platforms throttle, result pages arrive half
 //! rendered or with mangled rank sequences. This crate gives the
-//! ingestion layer ([`fbox-marketplace`]'s crawl and [`fbox-search`]'s
+//! ingestion layer (`fbox-marketplace`'s crawl and `fbox-search`'s
 //! study runner) a way to *rehearse* those failures without sacrificing
 //! the repository's core contract — byte-identical output at any
 //! `FBOX_THREADS`, on any machine, at any interrupt/resume point.

@@ -22,6 +22,8 @@
 //! the same f64 expression and pages are bit-identical to scoring each
 //! request from scratch.
 
+use fbox_core::measures::float::floor_units;
+
 use crate::corpus::{PostingPool, RESULT_SIZE};
 use crate::hash::{mix, mix_str, signed};
 use crate::noise::{NoiseModel, RequestContext};
@@ -224,19 +226,19 @@ impl SearchSession<'_> {
             assert!(dt >= 0.0, "previous query cannot be in the future");
             (noise.carryover_at(dt), key)
         });
+        // Session timestamps are finite and non-negative; the guards pin
+        // that invariant where the time becomes integer hash material.
+        let minute = if time_min.is_finite() && time_min >= 0.0 { time_min } else { 0.0 };
         let ab_bucket = if noise.ab_buckets > 1 {
-            mix(keys.ab, self.user_id ^ fbox_core::measures::float::floor_units(time_min))
-                % noise.ab_buckets
+            mix(keys.ab, self.user_id ^ floor_units(minute)) % noise.ab_buckets
         } else {
             0
         };
         let ab_key = mix(keys.ab_direction, ab_bucket);
         let geo_key = (!proxied).then(|| {
             let secs = time_min * 60.0;
-            // Session timestamps are finite and non-negative; the guard
-            // pins that invariant at the conversion.
             let secs = if secs.is_finite() && secs >= 0.0 { secs } else { 0.0 };
-            mix(keys.geo, secs as u64 ^ self.user_id)
+            mix(keys.geo, floor_units(secs) ^ self.user_id)
         });
 
         self.pool

@@ -407,8 +407,8 @@ pub fn run_study_journaled(
         }
     }
     let lost = n_failed + n_quarantined;
-    let coverage =
-        if delivered + lost == 0 { 0.0 } else { delivered as f64 / (delivered + lost) as f64 };
+    let attempted = delivered + lost;
+    let coverage = if attempted == 0 { 0.0 } else { delivered as f64 / attempted as f64 };
 
     let stats = StudyStats {
         n_studies: LOCATIONS.len() * 6,

@@ -294,7 +294,7 @@ fn flip_point(plan: &StoragePlan, generation: u64, index: u64, payload_len: usiz
         fbox_resilience::hash::mix(plan.seed() ^ 0xB17F, generation),
         index,
     );
-    ((draw % payload_len as u64) as usize, (draw >> 32) as u8 % 8)
+    ((draw % payload_len as u64) as usize, ((draw >> 32) % 8) as u8)
 }
 
 /// Reads, increments, and persists the open-count sidecar (`<path>.gen`).

@@ -65,17 +65,12 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
-        // Target rank ⌈q·count⌉ in 1..=count, computed without a
-        // float rounding-method cast.
+        // Target rank ⌈q·count⌉ in 1..=count.
         let scaled = q.clamp(0.0, 1.0) * self.count as f64;
         // A unit fraction of a u64 count is finite and non-negative; the
         // guard pins that invariant at the conversion.
         let scaled = if scaled.is_finite() && scaled >= 0.0 { scaled } else { 0.0 };
-        let mut target = scaled as u64;
-        if (target as f64) < scaled {
-            target += 1;
-        }
-        let target = target.clamp(1, self.count);
+        let target = (scaled.ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for bucket in &self.buckets {
             let next = cum + bucket.count;

@@ -15,7 +15,7 @@
 //!   and figures.
 //!
 //! Start with the `quickstart` example, or
-//! [`FBox`](fbox_core::FBox) for the core API.
+//! [`FBox`] for the core API.
 
 pub use fbox_core as core;
 pub use fbox_crowd as crowd;

@@ -3,16 +3,22 @@
 //! - [`topk`]: the Fagin-Threshold-Algorithm adaptation of Algorithm 1
 //!   solving **Problem 1 (Fairness Quantification)** for any dimension;
 //! - [`naive`]: the full-scan baseline and oracle it is benchmarked and
-//!   tested against;
+//!   tested against, and [`marginal_top_k`], the same answer read from
+//!   the index's per-entity means when no aggregated dimension is
+//!   restricted;
 //! - [`compare`](mod@compare): Algorithms 2–3 solving **Problem 2 (Fairness
 //!   Comparison)**.
+//!
+//! [`FBox::top_k`](crate::FBox::top_k) picks among the three Problem 1
+//! plans; every plan ends in the same ranking step, so they order ties
+//! alike.
 
 pub mod compare;
 pub mod naive;
 pub mod topk;
 
 pub use compare::{compare, compare_sets, BreakdownRow, ComparisonOutcome, Entity};
-pub use naive::naive_top_k;
+pub use naive::{marginal_top_k, naive_top_k};
 pub use topk::{top_k, RankOrder, TopKResult, TopKStats};
 
 use crate::index::Dimension;
@@ -65,25 +71,46 @@ impl Restriction {
     /// enter the same posting lists twice into the aggregation, skewing
     /// averages and double-counting accesses.
     pub fn resolve(&self, dim: Dimension, total: usize) -> Vec<u32> {
-        match self.subset(dim) {
-            Some(ids) => {
-                let mut seen = vec![false; total];
-                let mut out = Vec::with_capacity(ids.len());
-                for &id in ids {
-                    assert!((id as usize) < total, "{dim:?} id {id} out of range (< {total})");
-                    if !seen[id as usize] {
-                        seen[id as usize] = true;
-                        out.push(id);
-                    }
+        resolve_ids(dim, self.subset(dim), total)
+    }
+}
+
+/// [`Restriction::resolve`] for one dimension's optional subset.
+pub(crate) fn resolve_ids(dim: Dimension, subset: Option<&[u32]>, total: usize) -> Vec<u32> {
+    match subset {
+        Some(ids) => {
+            let mut seen = vec![false; total];
+            let mut out = Vec::with_capacity(ids.len());
+            for &id in ids {
+                assert!((id as usize) < total, "{dim:?} id {id} out of range (< {total})");
+                if !seen[id as usize] {
+                    seen[id as usize] = true;
+                    out.push(id);
                 }
-                out
             }
-            None => {
-                debug_assert!(total <= u32::MAX as usize, "dimension size must fit u32 ids");
-                (0..total as u32).collect()
-            }
+            out
+        }
+        None => {
+            debug_assert!(total <= u32::MAX as usize, "dimension size must fit u32 ids");
+            (0..total as u32).collect()
         }
     }
+}
+
+/// The ranking step every Problem 1 plan ends in: orders `(entity,
+/// aggregate)` pairs best-first for `order`, ties by ascending id, and
+/// keeps the first `k`.
+pub(crate) fn rank(mut entries: Vec<(u32, f64)>, k: usize, order: RankOrder) -> Vec<(u32, f64)> {
+    match order {
+        RankOrder::MostUnfair => {
+            entries.sort_by(|x, y| OrdF64(y.1).cmp(&OrdF64(x.1)).then(x.0.cmp(&y.0)))
+        }
+        RankOrder::LeastUnfair => {
+            entries.sort_by(|x, y| OrdF64(x.1).cmp(&OrdF64(y.1)).then(x.0.cmp(&y.0)))
+        }
+    }
+    entries.truncate(k);
+    entries
 }
 
 /// Total-order wrapper for the non-NaN `f64` unfairness values, so they can

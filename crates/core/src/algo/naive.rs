@@ -3,11 +3,13 @@
 //! Computes every candidate entity's aggregate by scanning the cube, then
 //! partially sorts. This is the O(|G|·|Q|·|L|) comparator the paper's
 //! threshold algorithm is designed to beat; it also handles *incomplete*
-//! cubes (averaging over present cells), which the TA cannot.
+//! cubes (averaging over present cells). [`marginal_top_k`] returns the
+//! same answer from precomputed per-entity means when the aggregated
+//! dimensions are unrestricted.
 
-use super::{topk::RankOrder, OrdF64, Restriction, TopKResult, TopKStats};
+use super::{rank, resolve_ids, topk::RankOrder, Restriction, TopKResult, TopKStats};
 use crate::cube::UnfairnessCube;
-use crate::index::Dimension;
+use crate::index::{Dimension, IndexSet};
 
 /// Full-scan top-k over a cube: the `k` entities of `dim` with the highest
 /// (or lowest) average unfairness over the other two (restricted)
@@ -57,17 +59,32 @@ pub fn naive_top_k(
         }
     }
 
-    match order {
-        RankOrder::MostUnfair => {
-            aggregates.sort_by(|x, y| OrdF64(y.1).cmp(&OrdF64(x.1)).then(x.0.cmp(&y.0)))
-        }
-        RankOrder::LeastUnfair => {
-            aggregates.sort_by(|x, y| OrdF64(x.1).cmp(&OrdF64(y.1)).then(x.0.cmp(&y.0)))
-        }
-    }
-    aggregates.truncate(k);
     stats.publish("naive");
-    TopKResult { entries: aggregates, stats }
+    TopKResult { entries: rank(aggregates, k, order), stats }
+}
+
+/// [`naive_top_k`] with both aggregated dimensions unrestricted, read from
+/// the index's per-entity means ([`IndexSet::marginal`]) instead of the
+/// cells. `candidates` restricts the ranked dimension as
+/// [`Restriction::subset`]`(dim)` does. The answer is bit-identical to the
+/// scan's: the means are summed in the scan's order and ranked by the same
+/// step. The stats count one random access per candidate mean and no
+/// cell.
+pub fn marginal_top_k(
+    indices: &IndexSet,
+    dim: Dimension,
+    k: usize,
+    order: RankOrder,
+    candidates: Option<&[u32]>,
+) -> TopKResult {
+    let _span = fbox_telemetry::span("algo.marginal");
+    let means = indices.marginal(dim);
+    let entities = resolve_ids(dim, candidates, means.len());
+    let stats = TopKStats { random_accesses: entities.len() as u64, ..TopKStats::default() };
+    let aggregates =
+        entities.into_iter().filter_map(|e| means[e as usize].map(|m| (e, m))).collect();
+    stats.publish("marginal");
+    TopKResult { entries: rank(aggregates, k, order), stats }
 }
 
 fn dim_len(cube: &UnfairnessCube, dim: Dimension) -> usize {

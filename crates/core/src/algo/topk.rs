@@ -13,7 +13,7 @@
 //! aggregate. Once the k-th best result passes `τ`, no unseen entity can
 //! enter the top-k and the algorithm stops without exhausting the lists.
 
-use super::{OrdF64, Restriction};
+use super::{rank, OrdF64, Restriction};
 use crate::index::{Dimension, IndexSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -216,15 +216,9 @@ pub fn top_k(
     }
 
     // Drain the heap into best-first order.
-    let mut entries: Vec<(u32, f64)> =
-        heap.into_iter().map(|(Reverse(OrdF64(sv)), e)| (e, sign * sv)).collect();
-    entries.sort_by(|a, b| {
-        let va = OrdF64(sign * a.1);
-        let vb = OrdF64(sign * b.1);
-        vb.cmp(&va).then(a.0.cmp(&b.0))
-    });
+    let entries = heap.into_iter().map(|(Reverse(OrdF64(sv)), e)| (e, sign * sv)).collect();
     stats.publish("ta");
-    TopKResult { entries, stats }
+    TopKResult { entries: rank(entries, k, order), stats }
 }
 
 /// TA over an incomplete cube. Differences from the complete path:
@@ -360,15 +354,9 @@ fn top_k_partial(
         }
     }
 
-    let mut entries: Vec<(u32, f64)> =
-        heap.into_iter().map(|(Reverse(OrdF64(sv)), e)| (e, sign * sv)).collect();
-    entries.sort_by(|a, b| {
-        let va = OrdF64(sign * a.1);
-        let vb = OrdF64(sign * b.1);
-        vb.cmp(&va).then(a.0.cmp(&b.0))
-    });
+    let entries = heap.into_iter().map(|(Reverse(OrdF64(sv)), e)| (e, sign * sv)).collect();
     stats.publish("ta");
-    TopKResult { entries, stats }
+    TopKResult { entries: rank(entries, k, order), stats }
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@ use std::sync::Arc;
 /// The assembled fairness framework for one study.
 ///
 /// Cloning is cheap: the universe, its [`MeasureContext`] and the posting
-/// lists are shared, and only the cube is copied (see [`IndexSet`]).
+/// lists are shared, and only the cube and any filled per-entity means
+/// are copied (see [`IndexSet`]).
 #[derive(Debug, Clone)]
 pub struct FBox {
     universe: Arc<Universe>,
@@ -195,12 +196,25 @@ impl FBox {
         self.indices.value(g, q, l)
     }
 
-    /// Problem 1 over any dimension. Uses the threshold algorithm when the
-    /// cube is complete and the naive scan otherwise. (The TA handles
-    /// incomplete cubes directly with subset-average bounds; the naive scan
-    /// is kept here because on the sparse tail of a degraded cube its
-    /// single pass is the cheaper plan, and it pins this method's
-    /// historical output bytes.)
+    /// Problem 1 over any dimension: the `k` entities of `dim` with the
+    /// highest (or lowest) mean unfairness over the present cells of the
+    /// other two dimensions, within `restrict`. Three plans give the same
+    /// answer; which one runs depends only on the restriction and the
+    /// cube:
+    ///
+    /// - **Marginals** ([`algo::marginal_top_k`]) when `restrict` leaves
+    ///   both aggregated dimensions whole — no restriction, or only a
+    ///   candidate subset of `dim`. The answer is read from the per-entity
+    ///   means the index keeps ([`IndexSet::marginal`]), filled by one
+    ///   pass over the cube on the first such query after a change, and
+    ///   is bit-identical to the naive scan's.
+    /// - **Threshold algorithm** ([`algo::top_k`], the paper's
+    ///   Algorithm 1) when an aggregated dimension is restricted and the
+    ///   cube is complete.
+    /// - **Naive scan** ([`algo::naive_top_k`]) when an aggregated
+    ///   dimension is restricted and the cube has holes: with more
+    ///   posting lists than entities, no threshold lets TA read fewer
+    ///   cells than one pass.
     pub fn top_k(
         &self,
         dim: Dimension,
@@ -209,7 +223,10 @@ impl FBox {
         restrict: &Restriction,
     ) -> TopKResult {
         let _span = fbox_telemetry::span("fbox.top_k");
-        if self.indices.is_complete() {
+        let (da, db) = dim.others();
+        if restrict.subset(da).is_none() && restrict.subset(db).is_none() {
+            algo::marginal_top_k(&self.indices, dim, k, order, restrict.subset(dim))
+        } else if self.indices.is_complete() {
             algo::top_k(&self.indices, dim, k, order, restrict)
         } else {
             algo::naive_top_k(self.cube(), dim, k, order, restrict)
@@ -443,16 +460,45 @@ mod tests {
     fn top_k_falls_back_to_naive_on_incomplete() {
         // The toy cube is complete over 1 query × 1 location × 11 groups
         // (every group has members or comparables)… verify, then poke a
-        // hole via from_cube to exercise the fallback.
+        // hole via from_cube to exercise the fallback. Restricting an
+        // aggregated dimension keeps the marginals out of the plan.
         let fb = toy_fbox();
-        let groups = fb.top_k_groups(3, RankOrder::MostUnfair, &Restriction::none());
+        let restrict = Restriction::on(Dimension::Query, vec![0]);
+        let groups = fb.top_k_groups(3, RankOrder::MostUnfair, &restrict);
         assert_eq!(groups.len(), 3);
 
         let mut cube = fb.cube().clone();
         cube.set_opt(GroupId(0), QueryId(0), LocationId(0), None);
         let fb2 = FBox::from_cube(fb.universe().clone(), cube);
-        let groups2 = fb2.top_k_groups(3, RankOrder::MostUnfair, &Restriction::none());
+        let groups2 = fb2.top_k_groups(3, RankOrder::MostUnfair, &restrict);
         assert_eq!(groups2.len(), 3);
+    }
+
+    #[test]
+    fn unrestricted_top_k_reads_marginals_bit_identical_to_the_scan() {
+        // Clear group 0's only cell: it has no mean, so every plan omits it.
+        let mut fb = toy_fbox();
+        let (q, l) = (QueryId(0), LocationId(0));
+        let mut values: Vec<_> =
+            fb.universe().group_ids().map(|g| fb.unfairness(g, q, l)).collect();
+        values[0] = None;
+        fb.apply_cell(q, l, &values);
+        for (dim, candidates) in [
+            (Dimension::Group, None),
+            (Dimension::Group, Some(vec![3, 0, 3, 7])),
+            (Dimension::Query, None),
+            (Dimension::Location, None),
+        ] {
+            let restrict = Restriction { groups: candidates, ..Restriction::none() };
+            for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
+                let r = fb.top_k(dim, 4, order, &restrict);
+                let scan = algo::naive_top_k(fb.cube(), dim, 4, order, &restrict);
+                let bits = |e: &[(u32, f64)]| e.iter().map(|&(id, v)| (id, v.to_bits())).collect();
+                let (got, want): (Vec<_>, Vec<_>) = (bits(&r.entries), bits(&scan.entries));
+                assert_eq!(got, want, "{dim:?} {order:?}");
+                assert_eq!(r.stats.cells_scanned, 0, "no cell is read");
+            }
+        }
     }
 
     #[test]
@@ -466,9 +512,11 @@ mod tests {
         obs.insert(q0, l, ranking.clone());
         obs.insert(q1, l, ranking.clone());
         let mut fb = FBox::from_market(universe, &obs, MarketMeasure::exposure());
-        // TA does sorted accesses; the naive scan does none.
+        // TA does sorted accesses; the naive scan does none. Restricting
+        // an aggregated dimension (to all of it) keeps the marginals out.
+        let restrict = Restriction::on(Dimension::Query, vec![q0.0, q1.0]);
         let takes_ta = |fb: &FBox| {
-            let r = fb.top_k(Dimension::Group, 3, RankOrder::MostUnfair, &Restriction::none());
+            let r = fb.top_k(Dimension::Group, 3, RankOrder::MostUnfair, &restrict);
             assert_eq!(r.entries.len(), 3);
             r.stats.sorted_accesses > 0
         };

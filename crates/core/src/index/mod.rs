@@ -1,6 +1,8 @@
 //! The three index families of Table 5: group-based `I(q,l)`, query-based
 //! `I(g,l)`, and location-based `I(g,q)` inverted indices, pre-computed
-//! from the unfairness cube for fast top-k processing.
+//! from the unfairness cube for fast top-k processing — plus, per
+//! dimension, every entity's mean over the other two, which answers an
+//! unrestricted top-k without reading a cell.
 
 mod posting;
 
@@ -9,7 +11,7 @@ pub use posting::PostingList;
 use crate::cube::UnfairnessCube;
 use crate::model::{GroupId, LocationId, QueryId};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One of the three dimensions of the unfairness cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,6 +48,10 @@ impl Dimension {
 /// Each list sits behind an [`Arc`]: cloning a set copies the cube and
 /// the list pointers, and [`Self::update_cell`] copies only the lists a
 /// cell touches, so clones (the store's epochs) share every other list.
+///
+/// The per-entity means of [`Self::marginal`] are filled lazily: building,
+/// ingesting and publishing never compute them, and the first read after
+/// a change pays one pass over the cube.
 #[derive(Debug, Clone)]
 pub struct IndexSet {
     cube: UnfairnessCube,
@@ -59,6 +65,54 @@ pub struct IndexSet {
     /// [`Self::update_cell`] so completeness stays O(1).
     n_present: usize,
     complete: bool,
+    /// Filled by the first [`Self::marginal`] read; emptied by an
+    /// [`Self::update_cell`] that moves a value.
+    marginals: OnceLock<Marginals>,
+}
+
+/// Every entity's mean over the present cells of the other two
+/// dimensions, one vector per dimension (`None` where an entity has no
+/// present cell).
+#[derive(Debug, Clone)]
+struct Marginals {
+    group: Vec<Option<f64>>,
+    query: Vec<Option<f64>>,
+    location: Vec<Option<f64>>,
+}
+
+impl Marginals {
+    /// One row-major `(g, q, l)` pass over the cube fills all three
+    /// dimensions. For a fixed entity the pass meets its cells in exactly
+    /// [`naive_top_k`](crate::algo::naive_top_k)'s order — a group's in
+    /// `(q, l)` order, a query's in `(g, l)`, a location's in `(g, q)` —
+    /// and each sum starts at `0.0`, so every mean is bit-identical to the
+    /// scan's.
+    fn of(cube: &UnfairnessCube) -> Self {
+        let _span = fbox_telemetry::span("index.marginals");
+        let (ng, nq, nl) = (cube.n_groups(), cube.n_queries(), cube.n_locations());
+        let mut group = vec![(0.0, 0usize); ng];
+        let mut query = vec![(0.0, 0usize); nq];
+        let mut location = vec![(0.0, 0usize); nl];
+        let data = cube.raw_data();
+        for g in 0..ng {
+            for q in 0..nq {
+                let row = &data[(g * nq + q) * nl..][..nl];
+                for (l, cell) in row.iter().enumerate() {
+                    let Some(v) = *cell else { continue };
+                    for (sum, n) in [&mut group[g], &mut query[q], &mut location[l]] {
+                        *sum += v;
+                        *n += 1;
+                    }
+                }
+            }
+        }
+        let means = |acc: Vec<(f64, usize)>| -> Vec<Option<f64>> {
+            acc.into_iter()
+                .map(|(sum, n): (f64, usize)| if n > 0 { Some(sum / n as f64) } else { None })
+                .collect()
+        };
+        Self { group: means(group), query: means(query), location: means(location) }
+    }
 }
 
 /// Pairs `(a, b)` with `a < na`, `b < nb`, in `a`-major order — the slot
@@ -151,6 +205,7 @@ impl IndexSet {
             location_lists,
             n_present,
             complete: n_present == ng * nq * nl,
+            marginals: OnceLock::new(),
         }
     }
 
@@ -160,7 +215,8 @@ impl IndexSet {
     /// touches at most one group list (`I(q,l)`) plus, per changed group,
     /// entry `q` of `I(g,l)` and entry `l` of `I(g,q)` — cost proportional
     /// to the cell's fan-out, never to the cube. Returns how many of those
-    /// lists were shared with a clone and had to be copied.
+    /// lists were shared with a clone and had to be copied. A moved value
+    /// also drops the cached [`Self::marginal`] means.
     ///
     /// Bit-equality holds because [`PostingList::update`] reproduces the
     /// total (value desc, id asc) order exactly, and because cube cells
@@ -183,6 +239,7 @@ impl IndexSet {
                 continue;
             }
             self.cube.set_opt(GroupId(g), q, l, new);
+            self.marginals.take();
             make_mut(&mut self.group_lists[slot], &mut copied).update(g, old, new);
             let gi = g as usize;
             make_mut(&mut self.query_lists[gi * nl + l.0 as usize], &mut copied)
@@ -206,6 +263,21 @@ impl IndexSet {
     /// [`Self::update_cell`].
     pub fn is_complete(&self) -> bool {
         self.complete
+    }
+
+    /// Every entity of `dim`, its mean over the present cells of the
+    /// other two dimensions (`None` where it has none): the unrestricted
+    /// Problem 1 aggregate, bit-identical to
+    /// [`naive_top_k`](crate::algo::naive_top_k)'s. The first read after
+    /// a build or a value-moving [`Self::update_cell`] fills all three
+    /// dimensions in one pass over the cube; later reads are free.
+    pub fn marginal(&self, dim: Dimension) -> &[Option<f64>] {
+        let m = self.marginals.get_or_init(|| Marginals::of(&self.cube));
+        match dim {
+            Dimension::Group => &m.group,
+            Dimension::Query => &m.query,
+            Dimension::Location => &m.location,
+        }
     }
 
     /// Size of the indexed dimension.

@@ -3,6 +3,8 @@
 //! The load-bearing one is `ta_equals_naive_*`: on any complete cube the
 //! threshold algorithm must return exactly the same top-k values as the
 //! full scan — that is the correctness claim behind the paper's §4.2.
+//! `fbox_top_k_equals_naive_bit_for_bit_*` holds `FBox::top_k`'s
+//! marginal path to the scan's exact bits on holed cubes.
 
 use fbox_core::algo::{compare, naive_top_k, top_k, Entity, RankOrder, Restriction};
 use fbox_core::index::{Dimension, IndexSet};
@@ -11,7 +13,7 @@ use fbox_core::model::{AttrId, Attribute, GroupId, GroupLabel, LocationId, Query
 use fbox_core::observations::{MarketRanking, RankedWorker, UserList};
 use fbox_core::unfairness::reference::{market_cell_unfairness, search_cell_unfairness};
 use fbox_core::unfairness::{CellEval, CellMeasure, MarketMeasure, MeasureContext, SearchMeasure};
-use fbox_core::{Schema, UnfairnessCube, Universe};
+use fbox_core::{FBox, Schema, UnfairnessCube, Universe};
 use proptest::prelude::*;
 
 /// Strategy: a complete cube with the given dimension bounds and values in
@@ -35,6 +37,86 @@ fn complete_cube(
             c
         })
     })
+}
+
+/// Strategy: a cube with holes. Each cell is missing with probability
+/// 1/4, and each entity of each dimension has all of its cells missing
+/// with probability 1/5 (fully empty rows). Values lie in [0, 1].
+fn holed_cube(max_g: usize, max_q: usize, max_l: usize) -> impl Strategy<Value = UnfairnessCube> {
+    (1..=max_g, 1..=max_q, 1..=max_l).prop_flat_map(|(ng, nq, nl)| {
+        let n = ng * nq * nl;
+        (
+            proptest::collection::vec(0.0f64..=1.0, n),
+            proptest::collection::vec(0u8..4, n),
+            proptest::collection::vec(0u8..5, ng + nq + nl),
+        )
+            .prop_map(move |(vals, holes, blank)| {
+                let mut c = UnfairnessCube::with_dims(ng, nq, nl);
+                let mut o = 0;
+                for g in 0..ng {
+                    for q in 0..nq {
+                        for l in 0..nl {
+                            let empty = holes[o] == 0
+                                || blank[g] == 0
+                                || blank[ng + q] == 0
+                                || blank[ng + nq + l] == 0;
+                            let v = (!empty).then_some(vals[o]);
+                            c.set_opt(
+                                GroupId(g as u32),
+                                QueryId(q as u32),
+                                LocationId(l as u32),
+                                v,
+                            );
+                            o += 1;
+                        }
+                    }
+                }
+                c
+            })
+    })
+}
+
+/// An F-Box over `cube`: one group per value of a single attribute, and
+/// as many queries and locations as the cube has.
+fn fbox_over(cube: &UnfairnessCube) -> FBox {
+    let ng = cube.n_groups() as u16;
+    let schema = Schema::new(vec![Attribute::new("a", (0..ng).map(|v| format!("v{v}")))]);
+    let mut u = Universe::new(schema);
+    for v in 0..ng {
+        u.add_group(GroupLabel::new(vec![(AttrId(0), ValueId(v))]));
+    }
+    for q in 0..cube.n_queries() {
+        u.add_query(format!("q{q}"), None);
+    }
+    for l in 0..cube.n_locations() {
+        u.add_location(format!("l{l}"), None);
+    }
+    FBox::from_cube(u, cube.clone())
+}
+
+/// `FBox::top_k` against `naive_top_k` on the F-Box's own cube, ids and
+/// value bits, over every dimension, both orders, every `k` from 0 to past
+/// the dimension size, unrestricted and with `raw` (taken modulo the
+/// dimension size, duplicates kept) as the ranked dimension's candidates.
+fn assert_top_k_matches_scan(fb: &FBox, raw: &[u32]) {
+    let bits = |e: &[(u32, f64)]| e.iter().map(|&(id, v)| (id, v.to_bits())).collect::<Vec<_>>();
+    for dim in [Dimension::Group, Dimension::Query, Dimension::Location] {
+        let n = fb.indices().dim_len(dim);
+        let candidates: Vec<u32> = raw.iter().map(|&id| id % n as u32).collect();
+        for restrict in [Restriction::none(), Restriction::on(dim, candidates)] {
+            for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
+                for k in 0..=n + 1 {
+                    let got = fb.top_k(dim, k, order, &restrict);
+                    let want = naive_top_k(fb.cube(), dim, k, order, &restrict);
+                    assert_eq!(
+                        bits(&got.entries),
+                        bits(&want.entries),
+                        "{dim:?} {order:?} k={k} {restrict:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Values of a top-k result (the comparable part under ties).
@@ -159,6 +241,49 @@ proptest! {
         let ta = top_k(&idx, Dimension::Group, k, RankOrder::MostUnfair, &restrict);
         let nv = naive_top_k(&cube, Dimension::Group, k, RankOrder::MostUnfair, &restrict);
         assert_close(&values(&ta.entries), &values(&nv.entries));
+    }
+
+    #[test]
+    fn fbox_top_k_equals_naive_bit_for_bit_on_holed_cubes(
+        cube in holed_cube(9, 6, 6),
+        raw in proptest::collection::vec(0u32..64, 0..12),
+    ) {
+        assert_top_k_matches_scan(&fbox_over(&cube), &raw);
+    }
+
+    /// Each update sets, keeps, changes or clears every group of one
+    /// `(q, l)` cell; the answers must track the new cube after every
+    /// update, and a clone taken before them must keep the old answers.
+    #[test]
+    fn fbox_top_k_equals_naive_bit_for_bit_through_cell_updates(
+        cube in holed_cube(7, 5, 5),
+        raw in proptest::collection::vec(0u32..64, 0..8),
+        updates in proptest::collection::vec(
+            (0u32..64, 0u32..64, proptest::collection::vec((0u8..3, 0.0f64..=1.0), 7)),
+            1..6,
+        ),
+    ) {
+        let mut fb = fbox_over(&cube);
+        assert_top_k_matches_scan(&fb, &raw);
+        let before = fb.clone();
+        for (q, l, ops) in &updates {
+            let q = QueryId(q % cube.n_queries() as u32);
+            let l = LocationId(l % cube.n_locations() as u32);
+            let values: Vec<Option<f64>> = fb
+                .universe()
+                .group_ids()
+                .zip(ops)
+                .map(|(g, &(op, v))| match op {
+                    0 => None,
+                    1 => fb.unfairness(g, q, l),
+                    _ => Some(v),
+                })
+                .collect();
+            fb.apply_cell(q, l, &values);
+            assert_top_k_matches_scan(&fb, &raw);
+        }
+        prop_assert_eq!(before.cube().raw_data(), cube.raw_data());
+        assert_top_k_matches_scan(&before, &raw);
     }
 
     #[test]

@@ -1760,7 +1760,9 @@ fn declared_ret(toks: &[Token], sig: (usize, usize)) -> Option<String> {
 }
 
 /// The declared type of parameter `name` in the signature: finds
-/// `name: TYPE` at parameter-list depth.
+/// `name: TYPE` at parameter-list depth, else the element of a tuple
+/// pattern's tuple annotation that binds it (`(sum, n): (u64, u64)` types
+/// `n` as `u64`, nested tuples included).
 fn param_type(toks: &[Token], sig: (usize, usize), name: &str) -> Option<String> {
     let (lo, hi) = (sig.0, sig.1.min(toks.len()));
     for i in lo..hi {
@@ -1774,7 +1776,68 @@ fn param_type(toks: &[Token], sig: (usize, usize), name: &str) -> Option<String>
         }
         return type_name_at(toks, i + 2, hi);
     }
-    None
+    (lo..hi).find_map(|open| {
+        // A tuple pattern: not a call or tuple-struct pattern `Some(..)`.
+        let after_ident = open > lo && matches!(toks[open - 1].tok, Tok::Ident(_));
+        if !toks[open].tok.is_punct('(') || after_ident {
+            return None;
+        }
+        let close = matching_close(toks, open)?;
+        if close + 1 >= hi || !toks[close + 1].tok.is_punct(':') {
+            return None;
+        }
+        tuple_element_type(toks, open, close + 2, hi, name)
+    })
+}
+
+/// `name`'s type where the tuple pattern opening at `pat` meets the type
+/// starting at `ty`, element by element.
+fn tuple_element_type(
+    toks: &[Token],
+    pat: usize,
+    ty: usize,
+    hi: usize,
+    name: &str,
+) -> Option<String> {
+    // Past `&`, `&&`, lifetimes, `mut` and `ref` — in patterns and types.
+    let skip_refs = |mut at: usize| {
+        while toks.get(at).is_some_and(|t| {
+            matches!(t.tok, Tok::Punct('&') | Tok::Op("&&") | Tok::Lifetime(_))
+                || t.tok.is_ident("mut")
+                || t.tok.is_ident("ref")
+        }) {
+            at += 1;
+        }
+        at
+    };
+    let ty = skip_refs(ty);
+    if !toks.get(ty)?.tok.is_punct('(') {
+        return None;
+    }
+    let pats = paren_elements(toks, pat)?;
+    let tys = paren_elements(toks, ty)?;
+    pats.into_iter().zip(tys).find_map(|((plo, phi), (tlo, _))| {
+        let p = skip_refs(plo);
+        match &toks.get(p)?.tok {
+            Tok::Ident(n) if n == name && p + 1 == phi => type_name_at(toks, tlo, hi),
+            Tok::Punct('(') => tuple_element_type(toks, p, tlo, hi, name),
+            _ => None,
+        }
+    })
+}
+
+/// The comma-separated elements of the parenthesized list opening at
+/// `open` (angle brackets nest, so `(Vec<(u8, u8)>, u64)` has two).
+fn paren_elements(toks: &[Token], open: usize) -> Option<Vec<(usize, usize)>> {
+    let close = matching_close(toks, open)?;
+    let mut out = Vec::new();
+    let mut start = open + 1;
+    while let Some(comma) = find_depth0_angles(toks, start, close, |t| t.is_punct(',')) {
+        out.push((start, comma));
+        start = comma + 1;
+    }
+    out.push((start, close));
+    Some(out)
 }
 
 #[cfg(test)]
@@ -1828,6 +1891,23 @@ mod tests {
         );
         let s = summary(&model, "run_study");
         assert_eq!(s.ret, AbsVal::Int { iv: Interval::exact(26), kind: Some(IntKind::U64) });
+    }
+
+    #[test]
+    fn tuple_pattern_params_take_their_element_types() {
+        let toks = crate::lexer::lex(
+            "|(sum, (n, w)): &(u64, (usize, Vec<(u8, u8)>)), &(mut a, ref b): &(f64, u32), \
+              Some(x): Option<u8>, y| y",
+        )
+        .tokens;
+        let ty = |name| param_type(&toks, (0, toks.len()), name);
+        assert_eq!(ty("sum").as_deref(), Some("u64"));
+        assert_eq!(ty("n").as_deref(), Some("usize"));
+        assert_eq!(ty("w").as_deref(), Some("Vec"));
+        assert_eq!(ty("a").as_deref(), Some("f64"));
+        assert_eq!(ty("b").as_deref(), Some("u32"));
+        assert_eq!(ty("x"), None, "a tuple-struct pattern is not a tuple");
+        assert_eq!(ty("y"), None);
     }
 
     #[test]

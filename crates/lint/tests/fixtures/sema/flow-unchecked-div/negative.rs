@@ -1,9 +1,12 @@
 //! Negative: every division's divisor is proven nonzero — by a
 //! dominating zero test, an emptiness guard, a clamp, float guards, a
-//! predicate's summary, a guard in the enclosing fn of a closure, or an
-//! enumerate index — or sits outside the cones.
+//! predicate's summary, a guard in the enclosing fn of a closure, a zero
+//! test on a tuple-pattern closure parameter, or an enumerate index — or
+//! sits outside the cones.
 
 pub fn run_study(xs: &[f64], span: f64) -> f64 {
+    let mean = |(sum, n): (u64, u64)| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+    let _ = mean((3, 2));
     if xs.is_empty() {
         return 0.0;
     }

@@ -7,7 +7,7 @@ pub fn run_study(xs: &[f64], qs: &[u32], sel: bool) -> f64 {
 }
 
 fn normalize(xs: &[f64]) -> f64 {
-    mean(xs)
+    mean(xs) + tuple_param(&[(3, 2)])
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -47,4 +47,11 @@ fn other(qs: &[u32], entries: &[f64]) -> f64 {
 fn captured(xs: &[f64]) -> Vec<f64> {
     let n = xs.len();
     xs.iter().map(|x| x / n as f64).collect() //~ flow-unchecked-div
+}
+
+/// A tuple-pattern parameter's zero test guards only the element it
+/// names: `sum` is tested, `n` divides.
+fn tuple_param(pairs: &[(u64, u64)]) -> f64 {
+    let mean = |(sum, n): (u64, u64)| if sum == 0 { 0.0 } else { sum as f64 / n as f64 }; //~ flow-unchecked-div
+    pairs.iter().map(|&p| mean(p)).sum()
 }

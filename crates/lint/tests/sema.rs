@@ -224,7 +224,7 @@ fn flow_unchecked_div_paths_root_to_def_to_division() {
     let rule = rule_by_id("flow-unchecked-div");
     let file = load_fixture("flow-unchecked-div", "positive.rs");
     let out = run_rule(rule.as_ref(), &file);
-    assert_eq!(out.len(), 5, "{out:?}");
+    assert_eq!(out.len(), 6, "{out:?}");
     assert_eq!(out[0].line, 16);
     assert_eq!(
         out[0].path,

@@ -318,6 +318,77 @@ mod tests {
         assert_eq!(threads_from_env(Some(" 12 ")), Some(12));
     }
 
+    /// The positive `usize` a trimmed `FBOX_THREADS` value spells, worked
+    /// out digit by digit without `str::parse`: an optional `+`, then
+    /// ASCII digits only, the value in `1..=usize::MAX`.
+    fn positive_usize(raw: &str) -> Option<usize> {
+        let s = raw.trim();
+        let digits = s.strip_prefix('+').unwrap_or(s);
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let mut n: usize = 0;
+        for b in digits.bytes() {
+            n = n.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
+        }
+        (n >= 1).then_some(n)
+    }
+
+    /// Arbitrary input never panics, and yields `Some(n >= 1)` exactly when
+    /// the trimmed value is a positive `usize`. Parses strings only; no
+    /// worker thread starts.
+    #[test]
+    fn env_parsing_survives_arbitrary_input() {
+        let max = usize::MAX.to_string();
+        let past_max = format!("{}0", usize::MAX);
+        let mut inputs: Vec<String> = [
+            "0",
+            "00",
+            "+0",
+            "-0",
+            "-1",
+            "+4",
+            "++4",
+            "4+",
+            " \t8\n",
+            "0012",
+            "1_000",
+            "1e3",
+            "3.0",
+            "\u{a0}5\u{a0}",
+            "\u{663}",
+            "8 8",
+            "",
+            " ",
+            "\0",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        inputs.extend([max.clone(), format!(" {max} "), past_max, "9".repeat(64)]);
+        let mut state = 0x5EED_F0B0_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let alphabet: Vec<char> = "0123456789 \t\n+-_.x\u{e9}\u{663}\u{a0}".chars().collect();
+        for _ in 0..2_000 {
+            let len = next(24);
+            inputs.push((0..len).map(|_| alphabet[next(alphabet.len() as u64) as usize]).collect());
+            // Whitespace-padded numbers, most of them in range.
+            let pad = |n: u64| " \t".repeat(n as usize % 3);
+            inputs.push(format!("{}{}{}", pad(next(9)), next(1 << 20), pad(next(9))));
+        }
+        for raw in &inputs {
+            let got = threads_from_env(Some(raw));
+            assert_eq!(got, positive_usize(raw), "FBOX_THREADS={raw:?}");
+            assert!(got.is_none_or(|n| n >= 1), "FBOX_THREADS={raw:?}");
+        }
+        assert_eq!(threads_from_env(Some(&max)), Some(usize::MAX));
+    }
+
     #[test]
     fn scope_joins_borrowing_workers() {
         let data = [1u64, 2, 3, 4];

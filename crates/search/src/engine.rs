@@ -77,7 +77,18 @@ pub struct SearchEngine {
 
 impl SearchEngine {
     /// Assembles an engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `noise.carryover_halflife_min` is not finite and
+    /// positive: carry-over decay divides by it, and a zero half-life
+    /// would score a back-to-back query `0/0` = NaN.
     pub fn new(personalization: PersonalizationProfile, noise: NoiseModel, seed: u64) -> Self {
+        let halflife = noise.carryover_halflife_min;
+        assert!(
+            halflife.is_finite() && halflife > 0.0,
+            "carry-over half-life must be finite and positive, got {halflife}"
+        );
         Self { personalization, noise, seed, keys: TermKeys::new(seed) }
     }
 
@@ -299,6 +310,13 @@ mod tests {
         );
         let overlap = a.iter().filter(|x| b.contains(x)).count();
         assert!(overlap >= 8, "expected heavy overlap, got {overlap}/10");
+    }
+
+    #[test]
+    #[should_panic(expected = "carry-over half-life must be finite and positive")]
+    fn zero_carryover_halflife_is_rejected() {
+        let noise = NoiseModel { carryover_halflife_min: 0.0, ..NoiseModel::none() };
+        SearchEngine::new(PersonalizationProfile::none(), noise, 42);
     }
 
     #[test]

@@ -135,16 +135,20 @@ fn top_k_trace_records_threshold_and_early_termination() {
     let runner = ExtensionRunner { repeats: 1, max_extra_runs: 0, ..Default::default() };
     let (universe, obs, _) = run_study(&design, &engine, &runner);
     let fb = FBox::from_search(universe, &obs, SearchMeasure::kendall());
+    // An unrestricted query reads the index's marginals; restricting an
+    // aggregated dimension (to all of it) sends the query through TA.
+    let every_query =
+        Restriction::on(Dimension::Query, (0..fb.universe().n_queries() as u32).collect());
 
     let reference = logical_trace_of(|| {
-        let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &Restriction::none());
+        let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &every_query);
     });
     assert!(reference.contains("\"algo.ta\""), "TA span recorded");
     assert!(reference.contains("\"ta.threshold\""), "threshold instants recorded");
     for threads in [2usize, 8] {
         let json = logical_trace_of(|| {
             with_threads(threads, || {
-                let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &Restriction::none());
+                let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &every_query);
             })
         });
         assert_eq!(reference, json, "FBOX_THREADS={threads}: top-k trace must be bit-identical");
@@ -154,7 +158,8 @@ fn top_k_trace_records_threshold_and_early_termination() {
 /// One span feeds both sinks: with metrics and a logical trace both on,
 /// every span name in the trace has a duration histogram whose call
 /// count equals that name's Begin events, across the study, cube build,
-/// top-k, compare, store publish and snapshot save/load.
+/// top-k (TA and marginals), compare, store publish and snapshot
+/// save/load.
 #[test]
 fn every_traced_span_has_a_histogram_with_matching_count() {
     let _lock = locked();
@@ -171,6 +176,9 @@ fn every_traced_span_has_a_histogram_with_matching_count() {
             let runner = ExtensionRunner { repeats: 1, max_extra_runs: 0, ..Default::default() };
             let (universe, obs, _) = run_study(&design, &engine, &runner);
             let fb = FBox::from_search(universe.clone(), &obs, SearchMeasure::kendall());
+            let every_query =
+                Restriction::on(Dimension::Query, (0..universe.n_queries() as u32).collect());
+            let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &every_query);
             let _ = fb.top_k(Dimension::Group, 2, RankOrder::MostUnfair, &Restriction::none());
             let _ = fb.compare(
                 Entity::Group(GroupId(0)),
@@ -206,6 +214,8 @@ fn every_traced_span_has_a_histogram_with_matching_count() {
             "index.family",
             "fbox.top_k",
             "algo.ta",
+            "algo.marginal",
+            "index.marginals",
             "algo.compare",
             "store.epoch.publish",
             "store.snapshot.save",

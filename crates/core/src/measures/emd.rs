@@ -11,6 +11,10 @@
 //!   Werman 2009). It exists to validate the closed form and to support
 //!   non-uniform ground distances.
 //!
+//! [`transport_plan`] returns the solver's plan itself, for the
+//! exposure-optimal re-ranker; its docs say which of several tied minimal
+//! plans that is.
+//!
 //! Both operate on *unit-mass* distributions: inputs are normalized
 //! internally and empty histograms yield `None` (an empty group has no
 //! score distribution to compare).
@@ -106,21 +110,8 @@ pub fn emd_general(
 ) -> Option<f64> {
     let s = normalize_to_units(supply)?;
     let d = normalize_to_units(demand)?;
-    let n = s.len();
-    let m = d.len();
-
-    // Pre-evaluate costs and validate them.
-    let mut costs = vec![0.0f64; n * m];
-    for i in 0..n {
-        for j in 0..m {
-            let c = cost(i, j);
-            assert!(c >= 0.0 && c.is_finite(), "ground cost must be non-negative and finite");
-            costs[i * m + j] = c;
-        }
-    }
-
-    let total_cost = transport(&s, &d, &costs, m).cost;
-    Some(total_cost / SCALE as f64)
+    let costs = cost_matrix(s.len(), d.len(), cost);
+    Some(transport(&s, &d, &costs, d.len()).cost / SCALE as f64)
 }
 
 /// EMD between two histograms with ground distance = |bin center
@@ -207,6 +198,13 @@ fn normalize_to_units(masses: &[f64]) -> Option<Vec<u64>> {
 /// which needs the *assignment*, not just the optimal cost that
 /// [`emd_general`] reports.
 ///
+/// When several plans tie at the minimal cost, which one is returned is
+/// fixed (deterministic) but not specified: each augmenting search stops
+/// at the sink, so ties can break differently from a search that settles
+/// every node. On exposure-shaped costs (`|exposure(pos) − τ_class|`) the
+/// two pick the same plan on every tested instance; on arbitrary costs
+/// they agree on the cost only.
+///
 /// # Panics
 ///
 /// Panics if the supply and demand totals differ (the transportation
@@ -223,17 +221,23 @@ pub fn transport_plan(
         supply_total == demand_total,
         "transport_plan requires balanced totals: supply {supply_total} vs demand {demand_total}"
     );
-    let n = supply.len();
-    let m = demand.len();
-    let mut costs = vec![0.0f64; n * m];
-    for i in 0..n {
-        for j in 0..m {
-            let c = cost(i, j);
-            assert!(c >= 0.0 && c.is_finite(), "ground cost must be non-negative and finite");
-            costs[i * m + j] = c;
-        }
-    }
-    transport(supply, demand, &costs, m).flow
+    let costs = cost_matrix(supply.len(), demand.len(), cost);
+    transport(supply, demand, &costs, demand.len()).flow
+}
+
+/// `cost` evaluated over every (supply, demand) pair, row-major.
+///
+/// # Panics
+///
+/// Panics if any cost is negative or non-finite.
+fn cost_matrix(n: usize, m: usize, cost: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+    let pairs = (0..n).flat_map(|i| (0..m).map(move |j| (i, j)));
+    let costs: Vec<f64> = pairs.map(|(i, j)| cost(i, j)).collect();
+    assert!(
+        costs.iter().all(|&c| c >= 0.0 && c.is_finite()),
+        "ground cost must be non-negative and finite"
+    );
+    costs
 }
 
 /// What [`transport`] solves for: the optimal cost and the realizing flow.
@@ -246,136 +250,149 @@ struct TransportSolution {
 
 /// Solves the balanced transportation problem exactly.
 ///
-/// Successive shortest augmenting paths with Dijkstra over reduced costs
-/// (Johnson potentials). Node layout: `0` source, `1..=n` supplies,
-/// `n+1..=n+m` demands, `n+m+1` sink.
-/// Capacity of a supply→demand arc: effectively unbounded, while leaving
-/// headroom so residual updates cannot overflow.
-const EDGE_CAP: u64 = u64::MAX / 4;
-
+/// Successive shortest augmenting paths, each found by Dijkstra over
+/// reduced costs (Johnson potentials). Node layout: `0` source, `1..=n`
+/// supplies, `n+1..=n+m` demands, `n+m+1` sink. The residual graph is
+/// implicit in a flat `n × m` flow matrix plus the units each supply has
+/// left to send and each demand has left to receive (the residuals of
+/// the source→supply and demand→sink arcs); supply→demand arcs are
+/// uncapacitated and their reverse arcs hold the routed flow. A node
+/// relaxes its arcs in the order an adjacency list built source arcs,
+/// then sink arcs, then supply→demand arcs would hold them: the source
+/// its supplies ascending; a supply its demands ascending; a demand the
+/// sink, then its supplies ascending. (A supply's reverse arc to the
+/// source never relaxes: the source sits at distance 0.)
+///
+/// Each search stops once the sink is settled, and every node's
+/// potential grows by `min(dist, dist[sink])`: settled nodes by their
+/// exact distance, the rest by the sink's, which keeps every residual
+/// reduced cost non-negative. The arc order, the `.max(0.0)` clamp, the
+/// `nd + 1e-15 < dist` test and the heap order are those of a search that
+/// settles every node, so on equal potentials both see the same pushes
+/// and pops up to the sink's pop. Later searches run on different
+/// potentials and may break exact-cost ties another way: the contract is
+/// *a* minimal plan. On exposure-shaped costs the plans equal the full
+/// search's on every tested instance; that is a test result
+/// (`early_exit_plans_equal_full_search_on_exposure_costs`), not a
+/// theorem.
 fn transport(supply: &[u64], demand: &[u64], costs: &[f64], m: usize) -> TransportSolution {
     let n = supply.len();
-    let nodes = n + m + 2;
-    let source = 0usize;
     let sink = n + m + 1;
-
-    // Residual graph as an adjacency list of directed edges; each edge
-    // stores its reverse-edge index for residual updates.
-    #[derive(Clone)]
-    struct Edge {
-        to: usize,
-        cap: u64,
-        cost: f64,
-        rev: usize,
-    }
-    let mut graph: Vec<Vec<Edge>> = vec![Vec::new(); nodes];
-    let add_edge = |graph: &mut Vec<Vec<Edge>>, from: usize, to: usize, cap: u64, cost: f64| {
-        let rev_from = graph[to].len();
-        let rev_to = graph[from].len();
-        graph[from].push(Edge { to, cap, cost, rev: rev_from });
-        graph[to].push(Edge { to: from, cap: 0, cost: -cost, rev: rev_to });
-    };
-
-    for (i, &s) in supply.iter().enumerate() {
-        if s > 0 {
-            add_edge(&mut graph, source, 1 + i, s, 0.0);
-        }
-    }
-    for (j, &d) in demand.iter().enumerate() {
-        if d > 0 {
-            add_edge(&mut graph, 1 + n + j, sink, d, 0.0);
-        }
-    }
-    for i in 0..n {
-        if supply[i] == 0 {
-            continue;
-        }
-        for j in 0..m {
-            if demand[j] == 0 {
-                continue;
-            }
-            add_edge(&mut graph, 1 + i, 1 + n + j, EDGE_CAP, costs[i * m + j]);
-        }
-    }
-
-    let mut potential = vec![0.0f64; nodes];
+    // Node → its supply or demand index (0 for the source and the sink).
+    let idx: Vec<usize> = [0].into_iter().chain(0..n).chain(0..m).chain([0]).collect();
+    let mut flow = vec![0u64; n * m];
+    // Residual capacities of the source→supply and demand→sink arcs.
+    let (mut supply_left, mut demand_left) = (supply.to_vec(), demand.to_vec());
+    let mut potential = vec![0.0f64; sink + 1];
+    let mut dist = vec![f64::INFINITY; sink + 1];
+    // Each node's predecessor on its shortest path; only the sink's path
+    // is read, and every node on it was reached by the current search.
+    let mut prev = vec![0usize; sink + 1];
+    let mut heap = std::collections::BinaryHeap::new();
     let mut total_cost = 0.0f64;
     let mut remaining: u64 = supply.iter().sum();
+    let (mut iterations, mut settled) = (0u64, 0u64);
 
     while remaining > 0 {
-        // Dijkstra on reduced costs from source.
-        let mut dist = vec![f64::INFINITY; nodes];
-        let mut prev: Vec<Option<(usize, usize)>> = vec![None; nodes]; // (node, edge idx)
-        dist[source] = 0.0;
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(HeapEntry { dist: 0.0, node: source });
+        iterations += 1;
+        dist.fill(f64::INFINITY);
+        dist[0] = 0.0;
+        heap.clear();
+        heap.push(HeapEntry { dist: 0.0, node: 0 });
         while let Some(HeapEntry { dist: du, node: u }) = heap.pop() {
             if du > dist[u] {
                 continue;
             }
-            for (ei, e) in graph[u].iter().enumerate() {
-                if e.cap == 0 {
-                    continue;
-                }
-                let reduced = e.cost + potential[u] - potential[e.to];
+            settled += 1;
+            if u == sink {
+                break;
+            }
+            let mut relax = |v: usize, cost: f64| {
                 // Reduced costs are ≥ 0 up to rounding; clamp tiny negatives.
-                let reduced = reduced.max(0.0);
-                let nd = du + reduced;
-                if nd + 1e-15 < dist[e.to] {
-                    dist[e.to] = nd;
-                    prev[e.to] = Some((u, ei));
-                    heap.push(HeapEntry { dist: nd, node: e.to });
+                let nd = du + (cost + potential[u] - potential[v]).max(0.0);
+                if nd + 1e-15 < dist[v] {
+                    dist[v] = nd;
+                    prev[v] = u;
+                    heap.push(HeapEntry { dist: nd, node: v });
+                }
+            };
+            if u == 0 {
+                (0..n).filter(|&i| supply_left[i] > 0).for_each(|i| relax(1 + i, 0.0));
+            } else if u <= n {
+                let row = idx[u] * m;
+                (0..m).filter(|&j| demand[j] > 0).for_each(|j| relax(1 + n + j, costs[row + j]));
+            } else {
+                let j = idx[u];
+                if demand_left[j] > 0 {
+                    relax(sink, 0.0);
+                }
+                for i in (0..n).filter(|&i| flow[i * m + j] > 0) {
+                    relax(1 + i, -costs[i * m + j]);
                 }
             }
         }
+        let reach = dist[sink];
         assert!(
-            dist[sink].is_finite(),
+            reach.is_finite(),
             "transportation problem infeasible: sink unreachable with {remaining} units left"
         );
-        for v in 0..nodes {
-            if dist[v].is_finite() {
-                potential[v] += dist[v];
-            }
+        for (p, &d) in potential.iter_mut().zip(&dist) {
+            *p += d.min(reach);
         }
-        // Find bottleneck along the path.
+        // Bottleneck along the path, from the sink back to the source.
         let mut bottleneck = remaining;
         let mut v = sink;
-        while let Some((u, ei)) = prev[v] {
-            bottleneck = bottleneck.min(graph[u][ei].cap);
+        while v != 0 {
+            let u = prev[v];
+            bottleneck = bottleneck.min(if v == sink {
+                demand_left[idx[u]]
+            } else if u == 0 {
+                supply_left[idx[v]]
+            } else if u > n {
+                flow[idx[v] * m + idx[u]]
+            } else {
+                remaining
+            });
             v = u;
         }
-        // Augment.
+        // Augment. Arc costs add up in sink-to-source order, which fixes
+        // the bits of the float total `emd_general` reports.
         let mut v = sink;
-        while let Some((u, ei)) = prev[v] {
-            total_cost += graph[u][ei].cost * bottleneck as f64;
-            let cap = graph[u][ei].cap;
-            debug_assert!(bottleneck <= cap, "bottleneck exceeds residual capacity");
-            graph[u][ei].cap = cap - bottleneck;
-            let rev = graph[u][ei].rev;
-            graph[v][rev].cap += bottleneck;
+        while v != 0 {
+            let u = prev[v];
+            if v == sink {
+                take(&mut demand_left[idx[u]], bottleneck);
+            } else if u == 0 {
+                take(&mut supply_left[idx[v]], bottleneck);
+            } else if u > n {
+                let k = idx[v] * m + idx[u];
+                total_cost -= costs[k] * bottleneck as f64;
+                take(&mut flow[k], bottleneck);
+            } else {
+                let k = idx[u] * m + idx[v];
+                total_cost += costs[k] * bottleneck as f64;
+                flow[k] += bottleneck;
+            }
             v = u;
         }
-        debug_assert!(bottleneck <= remaining, "pushed more flow than supply left");
-        remaining -= bottleneck;
+        take(&mut remaining, bottleneck);
     }
 
-    // Read the optimal plan back out of the residual graph: a
-    // supply→demand edge started at `EDGE_CAP`, so its spent capacity is
-    // the flow routed across it.
-    let mut flow = vec![vec![0u64; m]; n];
-    let base = 1 + n;
-    for (i, row) in flow.iter_mut().enumerate() {
-        for e in &graph[1 + i] {
-            let to = e.to;
-            if (base..base + m).contains(&to) {
-                debug_assert!(base <= to, "contains() bounds the demand-node id");
-                let cap = e.cap;
-                debug_assert!(cap <= EDGE_CAP, "residual capacity grew past the initial cap");
-                row[to - base] = EDGE_CAP - cap;
-            }
-        }
+    // One publish per solve: augmenting paths, and nodes their searches settled.
+    let t = fbox_telemetry::global();
+    if t.enabled() {
+        t.counter("transport.iterations").add(iterations);
+        t.counter("transport.nodes_settled").add(settled);
     }
+    let flow = (0..n).map(|i| flow[i * m..][..m].to_vec()).collect();
     TransportSolution { cost: total_cost, flow }
+}
+
+/// `*units -= by`, for a `by` taken as a minimum that included `*units`.
+fn take(units: &mut u64, by: u64) {
+    let left = *units;
+    debug_assert!(by <= left, "augmenting past a residual capacity");
+    *units = left - by;
 }
 
 /// Max-heap entry ordered by *smallest* distance (reversed comparison).
@@ -406,6 +423,7 @@ impl Ord for HeapEntry {
 
 #[cfg(test)]
 mod tests {
+    use super::super::exposure::DiscountModel;
     use super::*;
 
     fn hist(values: &[f64]) -> Histogram {
@@ -596,6 +614,203 @@ mod tests {
     #[should_panic(expected = "balanced")]
     fn transport_plan_rejects_unbalanced_totals() {
         let _ = transport_plan(&[2], &[1], |_, _| 0.0);
+    }
+
+    /// The solver before early exit, kept as the oracle: an explicit
+    /// adjacency-list residual graph, and a Dijkstra per augmenting path
+    /// that settles every reachable node.
+    fn full_search_transport(
+        supply: &[u64],
+        demand: &[u64],
+        costs: &[f64],
+        m: usize,
+    ) -> TransportSolution {
+        #[derive(Clone)]
+        struct Edge {
+            to: usize,
+            cap: u64,
+            cost: f64,
+            rev: usize,
+        }
+        const EDGE_CAP: u64 = u64::MAX / 4;
+        let n = supply.len();
+        let nodes = n + m + 2;
+        let (source, sink) = (0usize, n + m + 1);
+        let mut graph: Vec<Vec<Edge>> = vec![Vec::new(); nodes];
+        let add_edge = |graph: &mut Vec<Vec<Edge>>, from: usize, to: usize, cap: u64, cost: f64| {
+            let rev_from = graph[to].len();
+            let rev_to = graph[from].len();
+            graph[from].push(Edge { to, cap, cost, rev: rev_from });
+            graph[to].push(Edge { to: from, cap: 0, cost: -cost, rev: rev_to });
+        };
+        for (i, &s) in supply.iter().enumerate().filter(|&(_, &s)| s > 0) {
+            add_edge(&mut graph, source, 1 + i, s, 0.0);
+        }
+        for (j, &d) in demand.iter().enumerate().filter(|&(_, &d)| d > 0) {
+            add_edge(&mut graph, 1 + n + j, sink, d, 0.0);
+        }
+        for i in (0..n).filter(|&i| supply[i] > 0) {
+            for j in (0..m).filter(|&j| demand[j] > 0) {
+                add_edge(&mut graph, 1 + i, 1 + n + j, EDGE_CAP, costs[i * m + j]);
+            }
+        }
+        let mut potential = vec![0.0f64; nodes];
+        let mut total_cost = 0.0f64;
+        let mut remaining: u64 = supply.iter().sum();
+        while remaining > 0 {
+            let mut dist = vec![f64::INFINITY; nodes];
+            let mut prev: Vec<Option<(usize, usize)>> = vec![None; nodes];
+            dist[source] = 0.0;
+            let mut heap = std::collections::BinaryHeap::new();
+            heap.push(HeapEntry { dist: 0.0, node: source });
+            while let Some(HeapEntry { dist: du, node: u }) = heap.pop() {
+                if du > dist[u] {
+                    continue;
+                }
+                for (ei, e) in graph[u].iter().enumerate().filter(|(_, e)| e.cap > 0) {
+                    let nd = du + (e.cost + potential[u] - potential[e.to]).max(0.0);
+                    if nd + 1e-15 < dist[e.to] {
+                        dist[e.to] = nd;
+                        prev[e.to] = Some((u, ei));
+                        heap.push(HeapEntry { dist: nd, node: e.to });
+                    }
+                }
+            }
+            assert!(dist[sink].is_finite(), "oracle: sink unreachable");
+            for (p, &d) in potential.iter_mut().zip(&dist).filter(|(_, d)| d.is_finite()) {
+                *p += d;
+            }
+            let mut bottleneck = remaining;
+            let mut v = sink;
+            while let Some((u, ei)) = prev[v] {
+                bottleneck = bottleneck.min(graph[u][ei].cap);
+                v = u;
+            }
+            let mut v = sink;
+            while let Some((u, ei)) = prev[v] {
+                total_cost += graph[u][ei].cost * bottleneck as f64;
+                graph[u][ei].cap -= bottleneck;
+                let rev = graph[u][ei].rev;
+                graph[v][rev].cap += bottleneck;
+                v = u;
+            }
+            remaining -= bottleneck;
+        }
+        let mut flow = vec![vec![0u64; m]; n];
+        for (i, row) in flow.iter_mut().enumerate() {
+            for e in graph[1 + i].iter().filter(|e| e.to > n) {
+                row[e.to - 1 - n] = EDGE_CAP - e.cap;
+            }
+        }
+        TransportSolution { cost: total_cost, flow }
+    }
+
+    /// Splitmix-style deterministic PRNG, so a failing instance is
+    /// reproducible from its index.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() % (hi - lo + 1) as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// An exposure-optimal re-ranker's seed problem, built the way
+    /// `fbox_mitigate::exposure_opt` builds it: one supply per present
+    /// class (its size), one unit of demand per position, and cost
+    /// `|exposure(pos) − τ_class|` with `τ` the class's relevance-share of
+    /// the pool's exposure per member. Relevances mix zeros, ties from a
+    /// coarse grid and free reals; the pool always carries some relevance.
+    fn exposure_instance(rng: &mut Rng, model: DiscountModel) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+        let n = rng.range(1, 60);
+        let classes = rng.range(1, 8);
+        let mode = rng.range(0, 3);
+        let mut members: Vec<Vec<f64>> = vec![Vec::new(); classes];
+        for pos in 0..n {
+            let relevance = match mode {
+                0 => rng.range(0, 4) as f64 / 4.0,
+                1 if rng.range(0, 2) == 0 => 0.0,
+                2 => 1.0 - pos as f64 / n as f64,
+                _ => rng.unit(),
+            };
+            members[rng.range(0, classes - 1)].push(relevance);
+        }
+        if members.iter().flatten().sum::<f64>() <= 1e-9 {
+            members.iter_mut().flatten().for_each(|r| *r = 0.5);
+        }
+        let present: Vec<&Vec<f64>> = members.iter().filter(|c| !c.is_empty()).collect();
+        let exposures: Vec<f64> = (1..=n).map(|rank| model.exposure(rank)).collect();
+        let pool_exposure: f64 = exposures.iter().sum();
+        let pool_relevance: f64 = present.iter().copied().flatten().sum();
+        let targets: Vec<f64> = present
+            .iter()
+            .map(|c| pool_exposure * (c.iter().sum::<f64>() / pool_relevance) / c.len() as f64)
+            .collect();
+        let costs =
+            targets.iter().flat_map(|&t| exposures.iter().map(move |&e| (e - t).abs())).collect();
+        (present.iter().map(|c| c.len() as u64).collect(), vec![1; n], costs)
+    }
+
+    fn plan_cost(flow: &[Vec<u64>], costs: &[f64]) -> f64 {
+        flow.iter().flatten().zip(costs).map(|(&f, &c)| f as f64 * c).sum()
+    }
+
+    fn assert_balanced(flow: &[Vec<u64>], supply: &[u64], demand: &[u64], case: usize) {
+        for (i, row) in flow.iter().enumerate() {
+            assert_eq!(row.iter().sum::<u64>(), supply[i], "case {case}: row {i}");
+        }
+        for (j, &d) in demand.iter().enumerate() {
+            assert_eq!(flow.iter().map(|r| r[j]).sum::<u64>(), d, "case {case}: column {j}");
+        }
+    }
+
+    #[test]
+    fn early_exit_plans_equal_full_search_on_exposure_costs() {
+        let models = [DiscountModel::NaturalLog, DiscountModel::Log2, DiscountModel::Reciprocal];
+        let mut rng = Rng(0x7a5e_e0c5);
+        for case in 0..6_000 {
+            let (supply, demand, costs) = exposure_instance(&mut rng, models[case % 3]);
+            let m = demand.len();
+            let fast = transport(&supply, &demand, &costs, m);
+            let full = full_search_transport(&supply, &demand, &costs, m);
+            assert_eq!(fast.flow, full.flow, "case {case}: supply {supply:?}, costs {costs:?}");
+            assert_eq!(fast.cost.to_bits(), full.cost.to_bits(), "case {case}: path-sum cost");
+        }
+    }
+
+    #[test]
+    fn early_exit_plans_are_minimal_on_arbitrary_costs() {
+        let mut rng = Rng(0xc057_5eed);
+        for case in 0..8_000 {
+            let (n, m) = (rng.range(1, 8), rng.range(1, 12));
+            let supply: Vec<u64> = (0..n).map(|_| rng.range(0, 6) as u64).collect();
+            let mut demand = vec![0u64; m];
+            for _ in 0..supply.iter().sum::<u64>() {
+                demand[rng.range(0, m - 1)] += 1;
+            }
+            let integral = case % 2 == 0;
+            let costs: Vec<f64> = (0..n * m)
+                .map(|_| if integral { rng.range(0, 3) as f64 } else { rng.unit() * 10.0 })
+                .collect();
+            let fast = transport(&supply, &demand, &costs, m).flow;
+            let full = full_search_transport(&supply, &demand, &costs, m).flow;
+            assert_balanced(&fast, &supply, &demand, case);
+            let (a, b) = (plan_cost(&fast, &costs), plan_cost(&full, &costs));
+            assert!((a - b).abs() <= 1e-9 * b.max(1.0), "case {case}: cost {a} vs optimum {b}");
+        }
     }
 
     #[test]

@@ -19,7 +19,13 @@
 //! `Σ |exposure(pos) − τ_class(pos)|` is a transportation problem —
 //! supplies are class sizes, demands one unit per position — solved
 //! exactly by the min-cost-flow machinery already inside
-//! [`fbox_core::measures::transport_plan`].
+//! [`fbox_core::measures::transport_plan`]. The seed is most of a call's
+//! time: one shortest-path search per position, each stopped at the sink
+//! (about 22 of 40 nodes settled on the market pages). Any minimal plan
+//! is a valid seed, but the climb below starts from it, so the output
+//! depends on which of several tied plans the solver picks; that choice
+//! is pinned by the `repro-mitigate` golden and by the solver's
+//! exposure-shaped oracle test.
 //!
 //! **Repair.** Per-slot deviation is a proxy: the fairness objective sums
 //! *per class*, `Σ_a |E_a − T_a|` with `E_a` the class's total exposure,
@@ -30,7 +36,9 @@
 //! cross-class position swap that most reduces `Σ_a |E_a − T_a|`, first
 //! match in scan order on ties, until no swap improves. Within each
 //! class, better candidates get the better of the class's positions, so
-//! utility is maximal given the exposure allocation.
+//! utility is maximal given the exposure allocation. The climb evaluates
+//! O(n²) cross-class pairs per applied swap; the telemetry counter
+//! `mitigate.exposure.swap_evals` sums them.
 
 use crate::Candidate;
 use fbox_core::measures::{transport_plan, DiscountModel};
@@ -131,6 +139,7 @@ pub fn exposure_rerank(
     for (pos, &src) in alloc.iter().enumerate() {
         class_exposure[src] += exposures[pos];
     }
+    let mut swap_evals = 0u64;
     for _ in 0..2 * n {
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..n {
@@ -139,6 +148,7 @@ pub fn exposure_rerank(
                 if a == b {
                     continue;
                 }
+                swap_evals += 1;
                 let shift = exposures[i] - exposures[j];
                 let old =
                     (class_exposure[a] - targets[a]).abs() + (class_exposure[b] - targets[b]).abs();
@@ -155,6 +165,10 @@ pub fn exposure_rerank(
         class_exposure[alloc[i]] -= shift;
         class_exposure[alloc[j]] += shift;
         alloc.swap(i, j);
+    }
+    let t = fbox_telemetry::global();
+    if t.enabled() {
+        t.counter("mitigate.exposure.swap_evals").add(swap_evals);
     }
 
     // Hand each class's positions (ascending = most exposed first) to its

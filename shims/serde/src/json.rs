@@ -1,6 +1,11 @@
 //! JSON codec over the [`Value`] tree: compact and pretty writers plus a
 //! recursive-descent parser. This is the `serde_json` stand-in the
 //! telemetry snapshots and bench trajectory files are written with.
+//!
+//! The parser is total: any input yields a [`Value`] or an [`Error`],
+//! never a panic, and nesting past [`MAX_DEPTH`] is an error rather than
+//! a stack overflow. Every value it returns writes back to text that
+//! parses to the same value.
 
 use crate::{Deserialize, Error, Number, Serialize, Value};
 
@@ -18,9 +23,14 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded `[[[[…` would overflow the stack; the
+/// documents this workspace writes nest a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -91,11 +101,15 @@ fn write_number(out: &mut String, n: Number) {
         Number::I64(i) => out.push_str(&i.to_string()),
         Number::F64(f) if f.is_finite() => {
             // Round-trippable shortest representation; integral floats keep
-            // a `.0` so they re-parse as floats.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
+            // a `.0` (or, from 1e15 up, an exponent) so they re-parse as
+            // floats rather than as integers, or as integers too large
+            // for `u64`.
+            if f.fract() != 0.0 {
+                out.push_str(&format!("{f}"));
+            } else if f.abs() < 1e15 {
                 out.push_str(&format!("{f:.1}"));
             } else {
-                out.push_str(&format!("{f}"));
+                out.push_str(&format!("{f:e}"));
             }
         }
         // JSON has no Inf/NaN; null is the conventional fallback.
@@ -122,6 +136,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -163,8 +179,18 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::custom(format!("unexpected input at byte {}", self.pos))),
         }
@@ -307,12 +333,17 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::custom("invalid number"))?;
+        let bad = || Error::custom(format!("bad number `{text}`"));
         let n = if is_float {
-            Number::F64(text.parse().map_err(|_| Error::custom(format!("bad number `{text}`")))?)
+            // JSON has no infinities: `1e999` is out of range, not `inf`.
+            let f: f64 = text.parse().map_err(|_| bad())?;
+            Number::F64(f.is_finite().then_some(f).ok_or_else(bad)?)
         } else if text.starts_with('-') {
-            Number::I64(text.parse().map_err(|_| Error::custom(format!("bad number `{text}`")))?)
+            // `I64` holds negatives only; `-0` is the unsigned zero.
+            let i: i64 = text.parse().map_err(|_| bad())?;
+            u64::try_from(i).map_or(Number::I64(i), Number::U64)
         } else {
-            Number::U64(text.parse().map_err(|_| Error::custom(format!("bad number `{text}`")))?)
+            Number::U64(text.parse().map_err(|_| bad())?)
         };
         Ok(Value::Number(n))
     }

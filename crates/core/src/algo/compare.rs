@@ -10,9 +10,15 @@
 //! The overall values are computed by Algorithm 3
 //! (`ComputeGroupUnfairness`): the average of `d⟨·⟩` over the breakdown
 //! set × the remaining dimension; the per-`b` values average over the
-//! remaining dimension only. All reads go through the pre-built
-//! [`IndexSet`] random accesses, as in the paper's Algorithm 2.
+//! remaining dimension only. The sums scan the [`IndexSet`]'s cube with
+//! the kernel [`naive_top_k`](super::naive_top_k) uses: each side's sum
+//! per breakdown entity adds its present cells in `(aggregated id, set
+//! member)` order, several breakdown entities at once, and the overall
+//! sums fold those in breakdown order. That is the order of the paper's
+//! per-cell Algorithm 2 loop, so no bit of any value depends on the
+//! kernel.
 
+use super::sums::{slot_sums, Axis};
 use super::Restriction;
 use crate::index::{Dimension, IndexSet};
 use crate::model::{GroupId, LocationId, QueryId};
@@ -103,8 +109,8 @@ impl ComparisonOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `r1`/`r2` mix dimensions, are equal, or the breakdown
-/// dimension equals the comparison dimension.
+/// Panics if `r1`/`r2` mix dimensions or are equal, if the breakdown
+/// dimension equals the comparison dimension, or if an id is out of range.
 pub fn compare(
     indices: &IndexSet,
     r1: Entity,
@@ -127,10 +133,14 @@ pub fn compare(
 /// comparison averages the full male groups {Asian/Black/White Male}
 /// against the full female groups.
 ///
+/// A breakdown id listed twice in `breakdown_subset` gives two rows and
+/// enters the overall values twice.
+///
 /// # Panics
 ///
-/// Panics if either set is empty, the sets intersect, or the breakdown
-/// dimension equals the comparison dimension.
+/// Panics if either set is empty, the sets intersect, the breakdown
+/// dimension equals the comparison dimension, or an id in `set1`, `set2`
+/// or `breakdown_subset` is out of range for its dimension.
 pub fn compare_sets(
     indices: &IndexSet,
     cmp_dim: Dimension,
@@ -140,44 +150,59 @@ pub fn compare_sets(
     breakdown_subset: Option<&[u32]>,
     restrict: &Restriction,
 ) -> Option<ComparisonOutcome> {
+    let _span = fbox_telemetry::span("algo.compare");
+    let (outcome, cells_read) =
+        compare_counted(indices, cmp_dim, set1, set2, breakdown, breakdown_subset, restrict);
+    publish_compare(cells_read);
+    outcome
+}
+
+/// [`compare_sets`], also returning how many cells it read: one per
+/// (breakdown id, aggregated id, set member), missing or not.
+fn compare_counted(
+    indices: &IndexSet,
+    cmp_dim: Dimension,
+    set1: &[u32],
+    set2: &[u32],
+    breakdown: Dimension,
+    breakdown_subset: Option<&[u32]>,
+    restrict: &Restriction,
+) -> (Option<ComparisonOutcome>, u64) {
     assert!(!set1.is_empty() && !set2.is_empty(), "comparison sets must be non-empty");
     assert!(set1.iter().all(|e| !set2.contains(e)), "comparison sets must be disjoint");
     assert_ne!(breakdown, cmp_dim, "breakdown dimension must differ from the comparison dimension");
-    let _span = fbox_telemetry::span("algo.compare");
-    let mut cells_read = 0u64;
-
-    // The remaining dimension: not compared, not broken down — aggregated.
-    let agg_dim = remaining_dimension(cmp_dim, breakdown);
-    let agg_ids = restrict.resolve(agg_dim, indices.dim_len(agg_dim));
     let b_ids: Vec<u32> = match breakdown_subset {
         Some(ids) => ids.to_vec(),
         None => (0..indices.dim_len(breakdown) as u32).collect(),
     };
+    for (dim, ids) in [(cmp_dim, set1), (cmp_dim, set2), (breakdown, &b_ids[..])] {
+        check_ids(dim, ids, indices.dim_len(dim));
+    }
 
-    // Per-breakdown averages (Algorithm 2's per-location sums) and the
-    // overall averages (Algorithm 3) in one pass.
+    // The remaining dimension: not compared, not broken down — aggregated.
+    let agg_dim = remaining_dimension(cmp_dim, breakdown);
+    let agg_ids = restrict.resolve(agg_dim, indices.dim_len(agg_dim));
+
+    // Per-breakdown sums (Algorithm 2's per-location sums), one slot per
+    // breakdown id and side, each over (aggregated id, set member).
+    let cube = indices.cube();
+    let side = |set: &[u32]| {
+        slot_sums(
+            cube.values(),
+            Axis::new(cube, breakdown, &b_ids),
+            Axis::new(cube, agg_dim, &agg_ids),
+            Axis::new(cube, cmp_dim, set),
+        )
+    };
+    let (side1, side2) = (side(set1), side(set2));
+    let cells_read = (b_ids.len() * agg_ids.len() * (set1.len() + set2.len())) as u64;
+
+    // The overall averages (Algorithm 3) fold the per-breakdown sums in
+    // breakdown order.
     let mut rows = Vec::new();
     let (mut sum1, mut n1) = (0.0, 0usize);
     let (mut sum2, mut n2) = (0.0, 0usize);
-    for &b in &b_ids {
-        let (mut s1, mut c1) = (0.0, 0usize);
-        let (mut s2, mut c2) = (0.0, 0usize);
-        for &a in &agg_ids {
-            for &r in set1 {
-                cells_read += 1;
-                if let Some(v) = read(indices, cmp_dim, r, breakdown, b, a) {
-                    s1 += v;
-                    c1 += 1;
-                }
-            }
-            for &r in set2 {
-                cells_read += 1;
-                if let Some(v) = read(indices, cmp_dim, r, breakdown, b, a) {
-                    s2 += v;
-                    c2 += 1;
-                }
-            }
-        }
+    for ((&b, (s1, c1)), (s2, c2)) in b_ids.iter().zip(side1).zip(side2) {
         sum1 += s1;
         n1 += c1;
         sum2 += s2;
@@ -191,20 +216,27 @@ pub fn compare_sets(
             });
         }
     }
-    publish_compare(cells_read);
     if n1 == 0 || n2 == 0 {
-        return None;
+        return (None, cells_read);
     }
-    let overall1 = sum1 / n1 as f64;
-    let overall2 = sum2 / n2 as f64;
+    (Some(outcome(sum1 / n1 as f64, sum2 / n2 as f64, rows)), cells_read)
+}
 
+/// Flags each row whose strict order differs from the overall one.
+fn outcome(overall1: f64, overall2: f64, mut rows: Vec<BreakdownRow>) -> ComparisonOutcome {
     let overall_order = strict_order(overall1, overall2);
     for row in &mut rows {
         let row_order = strict_order(row.d1, row.d2);
         row.reversed = row_order != overall_order;
     }
+    ComparisonOutcome { overall1, overall2, rows }
+}
 
-    Some(ComparisonOutcome { overall1, overall2, rows })
+/// Panics unless every id in `ids` is below `total`, the size of `dim`.
+fn check_ids(dim: Dimension, ids: &[u32], total: usize) {
+    for &id in ids {
+        assert!((id as usize) < total, "{dim:?} id {id} out of range (< {total})");
+    }
 }
 
 /// Folds one comparison run's counters into the global telemetry
@@ -237,34 +269,207 @@ fn strict_order(d1: f64, d2: f64) -> i8 {
     }
 }
 
-/// Reads `d⟨·⟩` with `c` in the comparison dimension, `b` in the breakdown
-/// dimension, and `a` in the remaining dimension.
-fn read(
-    indices: &IndexSet,
-    cmp_dim: Dimension,
-    c: u32,
-    b_dim: Dimension,
-    b: u32,
-    a: u32,
-) -> Option<f64> {
-    use Dimension::*;
-    let (g, q, l) = match (cmp_dim, b_dim) {
-        (Group, Query) => (c, b, a),
-        (Group, Location) => (c, a, b),
-        (Query, Group) => (b, c, a),
-        (Query, Location) => (a, c, b),
-        (Location, Group) => (b, a, c),
-        (Location, Query) => (a, b, c),
-        _ => unreachable!("caller guarantees distinct dimensions"),
-    };
-    indices.value(GroupId(g), QueryId(q), LocationId(l))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::sums::testing::Draws;
     use super::*;
     use crate::cube::UnfairnessCube;
     use crate::index::IndexSet;
+
+    /// [`compare_counted`] one cell read at a time: per breakdown id, both
+    /// sides summed over `(aggregated id, set member)` in order.
+    fn oracle(
+        indices: &IndexSet,
+        cmp_dim: Dimension,
+        set1: &[u32],
+        set2: &[u32],
+        breakdown: Dimension,
+        breakdown_subset: Option<&[u32]>,
+        restrict: &Restriction,
+    ) -> (Option<ComparisonOutcome>, u64) {
+        let mut cells_read = 0u64;
+        let agg_dim = remaining_dimension(cmp_dim, breakdown);
+        let agg_ids = restrict.resolve(agg_dim, indices.dim_len(agg_dim));
+        let b_ids: Vec<u32> = match breakdown_subset {
+            Some(ids) => ids.to_vec(),
+            None => (0..indices.dim_len(breakdown) as u32).collect(),
+        };
+        let mut rows = Vec::new();
+        let (mut sum1, mut n1) = (0.0, 0usize);
+        let (mut sum2, mut n2) = (0.0, 0usize);
+        for &b in &b_ids {
+            let (mut s1, mut c1) = (0.0, 0usize);
+            let (mut s2, mut c2) = (0.0, 0usize);
+            for &a in &agg_ids {
+                for &r in set1 {
+                    cells_read += 1;
+                    if let Some(v) = read(indices, cmp_dim, r, breakdown, b, a) {
+                        s1 += v;
+                        c1 += 1;
+                    }
+                }
+                for &r in set2 {
+                    cells_read += 1;
+                    if let Some(v) = read(indices, cmp_dim, r, breakdown, b, a) {
+                        s2 += v;
+                        c2 += 1;
+                    }
+                }
+            }
+            sum1 += s1;
+            n1 += c1;
+            sum2 += s2;
+            n2 += c2;
+            if c1 > 0 && c2 > 0 {
+                let (d1, d2) = (s1 / c1 as f64, s2 / c2 as f64);
+                rows.push(BreakdownRow { entity: b, d1, d2, reversed: false });
+            }
+        }
+        if n1 == 0 || n2 == 0 {
+            return (None, cells_read);
+        }
+        (Some(outcome(sum1 / n1 as f64, sum2 / n2 as f64, rows)), cells_read)
+    }
+
+    /// Reads `d⟨·⟩` with `c` in the comparison dimension, `b` in the
+    /// breakdown dimension, and `a` in the remaining dimension.
+    fn read(
+        indices: &IndexSet,
+        cmp_dim: Dimension,
+        c: u32,
+        b_dim: Dimension,
+        b: u32,
+        a: u32,
+    ) -> Option<f64> {
+        use Dimension::*;
+        let (g, q, l) = match (cmp_dim, b_dim) {
+            (Group, Query) => (c, b, a),
+            (Group, Location) => (c, a, b),
+            (Query, Group) => (b, c, a),
+            (Query, Location) => (a, c, b),
+            (Location, Group) => (b, a, c),
+            (Location, Query) => (a, b, c),
+            _ => unreachable!("caller guarantees distinct dimensions"),
+        };
+        indices.value(GroupId(g), QueryId(q), LocationId(l))
+    }
+
+    /// The overall values, then each row's id, values and flag, with
+    /// every value as bits, so that `-0.0` and `0.0` differ.
+    fn bits(out: &Option<ComparisonOutcome>) -> Option<Vec<u64>> {
+        out.as_ref().map(|o| {
+            let rows = o.rows.iter().flat_map(|r| {
+                [u64::from(r.entity), r.d1.to_bits(), r.d2.to_bits(), u64::from(r.reversed)]
+            });
+            [o.overall1.to_bits(), o.overall2.to_bits()].into_iter().chain(rows).collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// The kernel comparison against the per-read oracle: overall and
+        /// row bits, reversal flags and cells read, on random holed cubes,
+        /// every (comparison, breakdown) pair, pooled sets with repeats,
+        /// breakdown subsets with repeats and aggregated subsets.
+        #[test]
+        fn comparison_matches_per_read_oracle(seed in 0u64..u64::MAX) {
+            let mut draws = Draws::new(seed);
+            let idx = IndexSet::build(&draws.holed_cube());
+            let dims = [Dimension::Group, Dimension::Query, Dimension::Location];
+            for cmp_dim in dims {
+                let n = idx.dim_len(cmp_dim);
+                if n < 2 {
+                    continue;
+                }
+                // Two disjoint pools: ids below and from a split point.
+                let split = 1 + draws.below(n - 1) as u32;
+                let mut set1 = draws.ids(n);
+                set1.retain(|&id| id < split);
+                let mut set2 = draws.ids(n);
+                set2.retain(|&id| id >= split);
+                if set1.is_empty() || set2.is_empty() {
+                    (set1, set2) = (vec![split - 1], vec![split]);
+                }
+                for breakdown in dims.into_iter().filter(|&d| d != cmp_dim) {
+                    let agg_dim = remaining_dimension(cmp_dim, breakdown);
+                    let b_subset = (draws.below(2) == 0).then(|| draws.ids(idx.dim_len(breakdown)));
+                    let restrict = match draws.below(2) {
+                        0 => Restriction::none(),
+                        _ => Restriction::on(agg_dim, draws.ids(idx.dim_len(agg_dim))),
+                    };
+                    let args = (&set1[..], &set2[..], breakdown, b_subset.as_deref(), &restrict);
+                    let got = compare_counted(&idx, cmp_dim, args.0, args.1, args.2, args.3, args.4);
+                    let want = oracle(&idx, cmp_dim, args.0, args.1, args.2, args.3, args.4);
+                    proptest::prop_assert_eq!(bits(&got.0), bits(&want.0), "{:?} {:?}", cmp_dim, args);
+                    proptest::prop_assert_eq!(got.1, want.1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set1_id_out_of_range_rejected() {
+        let idx = table4_like();
+        compare_sets(
+            &idx,
+            Dimension::Group,
+            &[2],
+            &[1],
+            Dimension::Location,
+            None,
+            &Restriction::none(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set2_id_out_of_range_rejected() {
+        let idx = table4_like();
+        compare_sets(
+            &idx,
+            Dimension::Group,
+            &[0],
+            &[1, 7],
+            Dimension::Location,
+            None,
+            &Restriction::none(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn breakdown_id_out_of_range_rejected() {
+        let idx = table4_like();
+        compare_sets(
+            &idx,
+            Dimension::Group,
+            &[0],
+            &[1],
+            Dimension::Location,
+            Some(&[0, 3]),
+            &Restriction::none(),
+        );
+    }
+
+    #[test]
+    fn repeated_breakdown_ids_give_one_row_each() {
+        let idx = table4_like();
+        let out = compare_sets(
+            &idx,
+            Dimension::Group,
+            &[0],
+            &[1],
+            Dimension::Location,
+            Some(&[2, 0, 2]),
+            &Restriction::none(),
+        )
+        .unwrap();
+        let entities: Vec<u32> = out.rows.iter().map(|r| r.entity).collect();
+        assert_eq!(entities, vec![2, 0, 2]);
+        assert!((out.overall1 - (0.84 + 0.30 + 0.84) / 3.0).abs() < 1e-12);
+    }
 
     /// 2 groups × 1 query × 3 locations.
     ///

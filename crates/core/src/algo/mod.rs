@@ -15,6 +15,7 @@
 
 pub mod compare;
 pub mod naive;
+mod sums;
 pub mod topk;
 
 pub use compare::{compare, compare_sets, BreakdownRow, ComparisonOutcome, Entity};

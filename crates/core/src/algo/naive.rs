@@ -7,6 +7,7 @@
 //! same answer from precomputed per-entity means when the aggregated
 //! dimensions are unrestricted.
 
+use super::sums::{slot_sums, Axis};
 use super::{rank, resolve_ids, topk::RankOrder, Restriction, TopKResult, TopKStats};
 use crate::cube::UnfairnessCube;
 use crate::index::{Dimension, IndexSet};
@@ -15,6 +16,12 @@ use crate::index::{Dimension, IndexSet};
 /// (or lowest) average unfairness over the other two (restricted)
 /// dimensions. Entities with no present cells are omitted. Ties are broken
 /// by ascending entity id.
+///
+/// Each entity's sum adds its present cells in `(a, b)` order, `a` and
+/// `b` the other two dimensions in `(Group, Query, Location)` order, as a
+/// per-entity double loop would. Several entities are summed at once
+/// by the scan kernel `compare` shares (DESIGN.md §8, "Cell layout and
+/// scan kernels"), which changes no bit of any aggregate and no count.
 pub fn naive_top_k(
     cube: &UnfairnessCube,
     dim: Dimension,
@@ -23,42 +30,25 @@ pub fn naive_top_k(
     restrict: &Restriction,
 ) -> TopKResult {
     let _span = fbox_telemetry::span("algo.naive");
-    let mut stats = TopKStats::default();
     let entities = restrict.resolve(dim, dim_len(cube, dim));
     let (da, db) = dim.others();
     let ents_a = restrict.resolve(da, dim_len(cube, da));
     let ents_b = restrict.resolve(db, dim_len(cube, db));
-    // Offset strides of (e, a, b) in the cube's (g, q, l) row-major layout,
-    // so the scan below is a plain indexed sum with no per-cell dispatch.
-    let (nq, nl) = (cube.n_queries(), cube.n_locations());
-    let (se, sa, sb) = match dim {
-        Dimension::Group => (nq * nl, nl, 1),
-        Dimension::Query => (nl, nq * nl, 1),
-        Dimension::Location => (1, nq * nl, nl),
-    };
-    let data = cube.raw_data();
-    let per_entity = (ents_a.len() * ents_b.len()) as u64;
-
-    let mut aggregates: Vec<(u32, f64)> = Vec::with_capacity(entities.len());
-    for &e in &entities {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &a in &ents_a {
-            let row = e as usize * se + a as usize * sa;
-            for &b in &ents_b {
-                if let Some(v) = data[row + b as usize * sb] {
-                    sum += v;
-                    n += 1;
-                }
-            }
-        }
-        stats.random_accesses += per_entity;
-        stats.cells_scanned += per_entity;
+    let sums = slot_sums(
+        cube.values(),
+        Axis::new(cube, dim, &entities),
+        Axis::new(cube, da, &ents_a),
+        Axis::new(cube, db, &ents_b),
+    );
+    let mut aggregates = Vec::with_capacity(entities.len());
+    for (&e, (sum, n)) in entities.iter().zip(sums) {
         if n > 0 {
             aggregates.push((e, sum / n as f64));
         }
     }
 
+    let cells = (entities.len() * ents_a.len() * ents_b.len()) as u64;
+    let stats = TopKStats { random_accesses: cells, cells_scanned: cells, ..TopKStats::default() };
     stats.publish("naive");
     TopKResult { entries: rank(aggregates, k, order), stats }
 }
@@ -97,8 +87,85 @@ fn dim_len(cube: &UnfairnessCube, dim: Dimension) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::super::sums::testing::Draws;
     use super::*;
     use crate::model::{GroupId, LocationId, QueryId};
+
+    /// The scan one cell at a time, through the `Option` view: each
+    /// entity's sum over `(a, b)` in order.
+    fn oracle(
+        cube: &UnfairnessCube,
+        dim: Dimension,
+        k: usize,
+        order: RankOrder,
+        restrict: &Restriction,
+    ) -> TopKResult {
+        let mut stats = TopKStats::default();
+        let entities = restrict.resolve(dim, dim_len(cube, dim));
+        let (da, db) = dim.others();
+        let ents_a = restrict.resolve(da, dim_len(cube, da));
+        let ents_b = restrict.resolve(db, dim_len(cube, db));
+        let (nq, nl) = (cube.n_queries(), cube.n_locations());
+        let (se, sa, sb) = match dim {
+            Dimension::Group => (nq * nl, nl, 1),
+            Dimension::Query => (nl, nq * nl, 1),
+            Dimension::Location => (1, nq * nl, nl),
+        };
+        let data = cube.raw_data();
+        let per_entity = (ents_a.len() * ents_b.len()) as u64;
+        let mut aggregates: Vec<(u32, f64)> = Vec::with_capacity(entities.len());
+        for &e in &entities {
+            let mut sum = 0.0;
+            let mut n = 0usize;
+            for &a in &ents_a {
+                let row = e as usize * se + a as usize * sa;
+                for &b in &ents_b {
+                    if let Some(v) = data[row + b as usize * sb] {
+                        sum += v;
+                        n += 1;
+                    }
+                }
+            }
+            stats.random_accesses += per_entity;
+            stats.cells_scanned += per_entity;
+            if n > 0 {
+                aggregates.push((e, sum / n as f64));
+            }
+        }
+        TopKResult { entries: rank(aggregates, k, order), stats }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// The kernel scan against the per-cell oracle: ids, value bits
+        /// and cell counts, on random holed cubes, every dimension, and
+        /// candidate and aggregated subsets with repeats.
+        #[test]
+        fn scan_matches_per_cell_oracle(seed in 0u64..u64::MAX) {
+            let mut draws = Draws::new(seed);
+            let cube = draws.holed_cube();
+            let mut pick = |dim| (draws.below(2) == 0).then(|| draws.ids(dim_len(&cube, dim)));
+            let restrict = Restriction {
+                groups: pick(Dimension::Group),
+                queries: pick(Dimension::Query),
+                locations: pick(Dimension::Location),
+            };
+            let bits = |r: &TopKResult| -> Vec<(u32, u64)> {
+                r.entries.iter().map(|&(e, v)| (e, v.to_bits())).collect()
+            };
+            for dim in [Dimension::Group, Dimension::Query, Dimension::Location] {
+                for order in [RankOrder::MostUnfair, RankOrder::LeastUnfair] {
+                    let k = dim_len(&cube, dim);
+                    let got = naive_top_k(&cube, dim, k, order, &restrict);
+                    let want = oracle(&cube, dim, k, order, &restrict);
+                    proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?}", dim, restrict);
+                    proptest::prop_assert_eq!(got.stats.cells_scanned, want.stats.cells_scanned);
+                    proptest::prop_assert_eq!(got.stats.random_accesses, want.stats.random_accesses);
+                }
+            }
+        }
+    }
 
     fn cube() -> UnfairnessCube {
         let mut c = UnfairnessCube::with_dims(3, 2, 2);

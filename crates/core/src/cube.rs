@@ -8,15 +8,25 @@
 //! cells that exist.
 
 use crate::model::{GroupId, LocationId, QueryId, Universe};
-use serde::{Deserialize, Serialize};
 
 /// Dense 3-D array of unfairness values over a [`Universe`]'s dimensions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Each cell is one `f64`, and NaN marks a missing cell. The marker is
+/// unambiguous because [`Self::set`] and [`Self::set_opt`] admit only
+/// finite values in `[0, 1]`, so NaN is never a value. Every public read
+/// ([`Self::get`], [`Self::raw_data`], [`Self::raw_cells`]) hands out
+/// `Option<f64>`. The cube also counts its present cells, so
+/// [`Self::is_complete`] and [`Self::coverage`] are O(1).
+#[derive(Debug, Clone)]
 pub struct UnfairnessCube {
     n_groups: usize,
     n_queries: usize,
     n_locations: usize,
-    data: Vec<Option<f64>>,
+    /// Cell values in `(g * n_queries + q) * n_locations + l` order; NaN
+    /// where a cell is missing.
+    values: Vec<f64>,
+    /// Number of non-NaN entries of `values`.
+    n_present: usize,
 }
 
 impl UnfairnessCube {
@@ -31,7 +41,8 @@ impl UnfairnessCube {
             n_groups,
             n_queries,
             n_locations,
-            data: vec![None; n_groups * n_queries * n_locations],
+            values: vec![f64::NAN; n_groups * n_queries * n_locations],
+            n_present: 0,
         }
     }
 
@@ -70,10 +81,17 @@ impl UnfairnessCube {
             "unfairness value {value} out of [0,1]"
         );
         let o = self.offset(g, q, l);
-        self.data[o] = Some(value);
+        if self.values[o].is_nan() {
+            self.n_present += 1;
+        }
+        self.values[o] = value;
     }
 
     /// Sets or clears a cell from an optional measure result.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Self::set`] does on a value outside `[0, 1]`.
     pub fn set_opt(&mut self, g: GroupId, q: QueryId, l: LocationId, value: Option<f64>) {
         match value {
             Some(v) => {
@@ -85,28 +103,31 @@ impl UnfairnessCube {
             }
             None => {
                 let o = self.offset(g, q, l);
-                self.data[o] = None;
+                if !self.values[o].is_nan() {
+                    self.n_present -= 1;
+                }
+                self.values[o] = f64::NAN;
             }
         }
     }
 
     /// Reads `d⟨g,q,l⟩`, `None` if missing.
     pub fn get(&self, g: GroupId, q: QueryId, l: LocationId) -> Option<f64> {
-        self.data[self.offset(g, q, l)]
+        present(self.values[self.offset(g, q, l)])
     }
 
-    /// Whether every cell holds a value. The threshold algorithm
+    /// Whether every cell holds a value. O(1). The threshold algorithm
     /// ([`crate::algo::topk`]) requires a complete cube.
     pub fn is_complete(&self) -> bool {
-        self.data.iter().all(Option::is_some)
+        self.n_present == self.values.len()
     }
 
-    /// Fraction of cells with a value.
+    /// Fraction of cells with a value. O(1).
     pub fn coverage(&self) -> f64 {
-        if self.data.is_empty() {
+        if self.values.is_empty() {
             return 0.0;
         }
-        self.data.iter().filter(|c| c.is_some()).count() as f64 / self.data.len() as f64
+        self.n_present as f64 / self.values.len() as f64
     }
 
     /// `d⟨g,Q,L⟩` (§3.4): mean over the present cells of `g` across the
@@ -154,24 +175,42 @@ impl UnfairnessCube {
         }
     }
 
-    /// The raw dense cell array in `(g * n_queries + q) * n_locations + l`
-    /// offset order. This is the layout the `fbox-store` snapshot codec
-    /// serializes and the layout bit-equality tests compare, so it is part
-    /// of the crate's stability surface.
-    pub fn raw_data(&self) -> &[Option<f64>] {
-        &self.data
+    /// Every cell, `None` where missing, in `(g * n_queries + q) *
+    /// n_locations + l` offset order, as an owned copy. This is the order
+    /// the `fbox-store` snapshot codec writes and the view bit-equality
+    /// tests compare, so it is part of the crate's stability surface.
+    /// Each call allocates; [`Self::raw_cells`] walks the same sequence
+    /// without allocating.
+    pub fn raw_data(&self) -> Vec<Option<f64>> {
+        self.raw_cells().collect()
+    }
+
+    /// [`Self::raw_data`]'s sequence as an iterator.
+    pub fn raw_cells(&self) -> impl ExactSizeIterator<Item = Option<f64>> + '_ {
+        self.values.iter().map(|&v| present(v))
+    }
+
+    /// The cell array itself, NaN where a cell is missing, in
+    /// [`Self::raw_data`]'s order: the input of the scan kernels.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// Iterates over all present cells.
     pub fn cells(&self) -> impl Iterator<Item = (GroupId, QueryId, LocationId, f64)> + '_ {
-        self.data.iter().enumerate().filter_map(move |(o, v)| {
-            let v = (*v)?;
+        self.raw_cells().enumerate().filter_map(move |(o, v)| {
+            let v = v?;
             let l = o % self.n_locations;
             let q = (o / self.n_locations) % self.n_queries;
             let g = o / (self.n_locations * self.n_queries);
             Some((GroupId(g as u32), QueryId(q as u32), LocationId(l as u32), v))
         })
     }
+}
+
+/// A stored cell as an `Option`: NaN, the missing marker, is `None`.
+fn present(v: f64) -> Option<f64> {
+    (!v.is_nan()).then_some(v)
 }
 
 #[cfg(test)]
@@ -261,6 +300,34 @@ mod tests {
         assert!((c.coverage() - 0.5).abs() < 1e-12);
         c.set(GroupId(0), QueryId(0), LocationId(1), 0.7);
         assert!(c.is_complete());
+    }
+
+    #[test]
+    fn present_count_follows_every_write() {
+        let mut c = UnfairnessCube::with_dims(1, 2, 2);
+        let (g, q) = (GroupId(0), QueryId(1));
+        c.set(g, q, LocationId(0), -0.0);
+        c.set(g, q, LocationId(0), 1.0); // overwrite: still one cell
+        c.set_opt(g, q, LocationId(1), None); // clearing a missing cell
+        assert_eq!(c.coverage(), 0.25);
+        c.set_opt(g, q, LocationId(0), None);
+        assert_eq!(c.coverage(), 0.0);
+        for (q, l) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            c.set(g, QueryId(q), LocationId(l), -0.0);
+        }
+        assert!(c.is_complete());
+        assert_eq!(c.get(g, q, LocationId(1)).map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(c.raw_data(), c.raw_cells().collect::<Vec<_>>());
+        c.set_opt(g, QueryId(0), LocationId(1), None);
+        assert!(!c.is_complete());
+        assert_eq!(c.raw_data()[1], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of [0,1]")]
+    fn nan_is_never_a_value() {
+        let mut c = UnfairnessCube::with_dims(1, 1, 1);
+        c.set_opt(GroupId(0), QueryId(0), LocationId(0), Some(f64::NAN));
     }
 
     #[test]

@@ -61,10 +61,6 @@ pub struct IndexSet {
     query_lists: Vec<Arc<PostingList>>,
     /// `I(g,q)` — locations ranked; indexed by `g * n_queries + q`.
     location_lists: Vec<Arc<PostingList>>,
-    /// Present `(g,q,l)` values, maintained incrementally by
-    /// [`Self::update_cell`] so completeness stays O(1).
-    n_present: usize,
-    complete: bool,
     /// Filled by the first [`Self::marginal`] read; emptied by an
     /// [`Self::update_cell`] that moves a value.
     marginals: OnceLock<Marginals>,
@@ -93,12 +89,14 @@ impl Marginals {
         let mut group = vec![(0.0, 0usize); ng];
         let mut query = vec![(0.0, 0usize); nq];
         let mut location = vec![(0.0, 0usize); nl];
-        let data = cube.raw_data();
+        let data = cube.values();
         for g in 0..ng {
             for q in 0..nq {
                 let row = &data[(g * nq + q) * nl..][..nl];
-                for (l, cell) in row.iter().enumerate() {
-                    let Some(v) = *cell else { continue };
+                for (l, &v) in row.iter().enumerate() {
+                    if v.is_nan() {
+                        continue;
+                    }
                     for (sum, n) in [&mut group[g], &mut query[q], &mut location[l]] {
                         *sum += v;
                         *n += 1;
@@ -197,16 +195,7 @@ impl IndexSet {
                 .add((group_lists.len() + query_lists.len() + location_lists.len()) as u64);
         }
 
-        let n_present = group_lists.iter().map(|list| list.len()).sum();
-        Self {
-            cube,
-            group_lists,
-            query_lists,
-            location_lists,
-            n_present,
-            complete: n_present == ng * nq * nl,
-            marginals: OnceLock::new(),
-        }
+        Self { cube, group_lists, query_lists, location_lists, marginals: OnceLock::new() }
     }
 
     /// Writes cell `(q,l)`'s per-group `values` (group-id order) into the
@@ -231,7 +220,6 @@ impl IndexSet {
         let (ng, nq, nl) = (self.cube.n_groups(), self.cube.n_queries(), self.cube.n_locations());
         assert_eq!(values.len(), ng, "one value per group");
         let slot = q.0 as usize * nl + l.0 as usize;
-        let before = self.group_lists[slot].len();
         let mut copied = 0;
         for (g, &new) in (0u32..).zip(values) {
             let old = self.cube.get(GroupId(g), q, l);
@@ -247,10 +235,6 @@ impl IndexSet {
             make_mut(&mut self.location_lists[gi * nq + q.0 as usize], &mut copied)
                 .update(l.0, old, new);
         }
-        let n = self.n_present + self.group_lists[slot].len();
-        debug_assert!(before <= n, "posting list shrank below the entries it contributed");
-        self.n_present = n - before;
-        self.complete = self.n_present == ng * nq * nl;
         copied
     }
 
@@ -259,10 +243,10 @@ impl IndexSet {
         &self.cube
     }
 
-    /// Whether the cube has every cell present. O(1): kept up to date by
-    /// [`Self::update_cell`].
+    /// Whether the cube has every cell present: the cube's own
+    /// [`UnfairnessCube::is_complete`], O(1).
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.cube.is_complete()
     }
 
     /// Every entity of `dim`, its mean over the present cells of the
@@ -402,8 +386,8 @@ mod tests {
             c.raw_data().iter().map(|v| v.map(f64::to_bits)).collect()
         };
         assert_eq!(bits(a.cube()), bits(b.cube()));
-        assert_eq!(a.n_present, b.n_present);
-        assert_eq!(a.complete, b.complete);
+        assert_eq!(a.is_complete(), b.is_complete());
+        assert_eq!(a.cube().coverage().to_bits(), b.cube().coverage().to_bits());
         for (fa, fb) in [
             (&a.group_lists, &b.group_lists),
             (&a.query_lists, &b.query_lists),

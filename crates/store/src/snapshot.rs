@@ -306,7 +306,7 @@ fn encode_cube(buf: &mut Vec<u8>, cube: &UnfairnessCube) {
     codec::put_len(buf, cube.n_groups());
     codec::put_len(buf, cube.n_queries());
     codec::put_len(buf, cube.n_locations());
-    for &cell in cube.raw_data() {
+    for cell in cube.raw_cells() {
         codec::put_opt_f64(buf, cell);
     }
 }
@@ -385,6 +385,31 @@ mod tests {
             back.get(GroupId(3), QueryId(1), LocationId(1)).map(f64::to_bits),
             Some((-0.0f64).to_bits())
         );
+    }
+
+    /// The encoded bytes of a fixed holed cube are pinned, so a change to
+    /// the cube's in-memory cell layout cannot move the file format. The
+    /// cube mixes missing cells with `-0.0`, `0.0`, `1.0`, a subnormal and
+    /// ordinary values.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let u = universe();
+        let mut cube = UnfairnessCube::empty(&u);
+        let subnormal = f64::from_bits(1);
+        for (g, q, l, v) in [
+            (0, 0, 0, -0.0),
+            (1, 0, 1, 1.0),
+            (2, 1, 0, subnormal),
+            (3, 1, 1, 0.0),
+            (5, 0, 0, 0.25),
+            (10, 1, 1, 0.1 + 0.2),
+        ] {
+            cube.set(GroupId(g), QueryId(q), LocationId(l), v);
+        }
+        let mut snap = CubeSnapshot::new(u);
+        snap.insert_cube("pinned", cube);
+        let bytes = snap.to_bytes();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (606, 0xDE81_7EB1_0F86_16BA));
     }
 
     #[test]

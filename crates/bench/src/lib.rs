@@ -1,6 +1,6 @@
-//! Shared helpers for the Criterion benchmarks, including the telemetry
-//! snapshot writer that makes the perf trajectory machine-readable, the
-//! measured suites ([`suites`]), and the CI perf-trend gate ([`trend`]).
+//! Shared helpers for the measured bench suites: the telemetry snapshot
+//! writer that makes the perf trajectory machine-readable, the suites
+//! themselves ([`suites`]), and the CI perf-trend gate ([`trend`]).
 
 pub mod suites;
 pub mod trend;
@@ -8,8 +8,6 @@ pub mod trend;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use fbox_core::model::{GroupId, LocationId, QueryId};
-use fbox_core::UnfairnessCube;
 use fbox_telemetry::{JsonSink, Report, Snapshot, Subscriber};
 
 /// Writes the global registry's current metrics as a `BENCH_<label>.json`
@@ -44,26 +42,6 @@ pub fn diff_snapshots(before: &Path, after: &Path) -> io::Result<Report> {
     Ok(Report::diff(&read_snapshot(before)?, &read_snapshot(after)?))
 }
 
-/// A complete synthetic cube with pseudo-random values, for algorithmic
-/// scalability sweeps.
-pub fn synthetic_cube(n_groups: usize, n_queries: usize, n_locations: usize) -> UnfairnessCube {
-    let mut cube = UnfairnessCube::with_dims(n_groups, n_queries, n_locations);
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    for g in 0..n_groups as u32 {
-        for q in 0..n_queries as u32 {
-            for l in 0..n_locations as u32 {
-                // xorshift for cheap, deterministic values.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let v = (state >> 11) as f64 / (1u64 << 53) as f64;
-                cube.set(GroupId(g), QueryId(q), LocationId(l), v);
-            }
-        }
-    }
-    cube
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,16 +65,5 @@ mod tests {
         assert!(diff_snapshots(&path, &path).expect("file diff").is_zero());
 
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn synthetic_cube_is_complete_and_deterministic() {
-        let a = synthetic_cube(10, 4, 4);
-        assert!(a.is_complete());
-        let b = synthetic_cube(10, 4, 4);
-        let ga = fbox_core::model::GroupId(3);
-        let q = fbox_core::model::QueryId(2);
-        let l = fbox_core::model::LocationId(1);
-        assert_eq!(a.get(ga, q, l), b.get(ga, q, l));
     }
 }

@@ -10,11 +10,10 @@ pub use posting::PostingList;
 
 use crate::cube::UnfairnessCube;
 use crate::model::{GroupId, LocationId, QueryId};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// One of the three dimensions of the unfairness cube.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dimension {
     /// Demographic groups.
     Group,

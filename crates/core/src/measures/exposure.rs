@@ -8,10 +8,8 @@
 //! relevance share; the deviation `|exp_share(g) − rel_share(g)|` is the
 //! group's unfairness. Shares are normalized over `g ∪ comparables(g)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Position-discount model mapping a 1-based rank to an exposure weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiscountModel {
     /// `1 / ln(1 + rank)` — the paper's model (Figure 5).
     #[default]

@@ -6,13 +6,11 @@
 //! can be normalized to a unit-mass distribution so that two groups of
 //! different sizes are comparable.
 
-use serde::{Deserialize, Serialize};
-
 /// Binning configuration shared by the histograms being compared.
 ///
 /// EMD between histograms is only meaningful when both use the same range
 /// and bin count; bundling the configuration makes that explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinConfig {
     /// Inclusive lower bound of the value range.
     pub lo: f64,
@@ -74,7 +72,7 @@ impl BinConfig {
 }
 
 /// A histogram of values over a [`BinConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     config: BinConfig,
     counts: Vec<f64>,

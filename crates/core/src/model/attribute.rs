@@ -7,25 +7,24 @@
 //! downstream (group labels, variants, comparable groups) is expressed in
 //! terms of compact ids into the schema.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a protected attribute within a [`Schema`].
 ///
 /// Attribute ids are dense indices in declaration order, so they can be used
 /// directly to index per-attribute arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrId(pub u16);
 
 /// Identifier of a value within an attribute's domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueId(pub u16);
 
 /// A protected attribute: a name plus its finite value domain.
 ///
 /// Example: `gender = {Male, Female}` or `ethnicity = {Asian, Black, White}`
 /// (the two attributes used in the paper's case study, §5.1.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     name: String,
     values: Vec<String>,
@@ -84,7 +83,7 @@ impl Attribute {
 /// The set of protected attributes a fairness study is defined over.
 ///
 /// A schema is immutable once built; group labels borrow ids from it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     attributes: Vec<Attribute>,
 }

@@ -9,14 +9,13 @@
 //! comparable groups.
 
 use super::attribute::{AttrId, Schema, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// A conjunction of `attribute = value` predicates identifying a group.
 ///
 /// Predicates are stored sorted by attribute id and each attribute appears
 /// at most once, so labels have a canonical form and can be compared and
 /// hashed directly.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupLabel {
     predicates: Vec<(AttrId, ValueId)>,
 }

@@ -11,24 +11,23 @@
 
 use super::attribute::Schema;
 use super::group::{self, GroupLabel};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense id of a group within a [`Universe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 /// Dense id of a query within a [`Universe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u32);
 
 /// Dense id of a location within a [`Universe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocationId(pub u32);
 
 /// A job-related query, optionally tagged with the job category it belongs
 /// to (e.g. query "Organize Closet" in category "General Cleaning").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryDef {
     pub name: String,
     pub category: Option<String>,
@@ -36,7 +35,7 @@ pub struct QueryDef {
 
 /// A geographic location, optionally tagged with a region (e.g. "West
 /// Coast", "UK").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocationDef {
     pub name: String,
     pub region: Option<String>,
@@ -46,7 +45,7 @@ pub struct LocationDef {
 ///
 /// Ids are assigned densely in insertion order and never change, so they
 /// can index arrays. Lookups by name are O(1) via side maps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Universe {
     schema: Schema,
     groups: Vec<GroupLabel>,

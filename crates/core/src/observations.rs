@@ -20,11 +20,10 @@
 //! [`GroupLabel::matches`]: crate::model::GroupLabel::matches
 
 use crate::model::{LocationId, QueryId, ValueId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One study participant's observed result list for one `(query, location)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UserList {
     /// The participant's full protected-attribute assignment.
     pub assignment: Vec<ValueId>,
@@ -33,7 +32,7 @@ pub struct UserList {
 }
 
 /// One ranked worker in a marketplace result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedWorker {
     /// The worker's full protected-attribute assignment.
     pub assignment: Vec<ValueId>,
@@ -80,7 +79,7 @@ impl std::error::Error for RankingError {}
 
 /// The ranked worker list returned by a marketplace for one
 /// `(query, location)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MarketRanking {
     workers: Vec<RankedWorker>,
 }
@@ -149,7 +148,7 @@ impl MarketRanking {
 }
 
 /// All search-engine observations of a study, keyed by `(query, location)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchObservations {
     samples: BTreeMap<(QueryId, LocationId), Vec<UserList>>,
 }
@@ -182,7 +181,7 @@ impl SearchObservations {
 }
 
 /// All marketplace observations of a study, keyed by `(query, location)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MarketObservations {
     rankings: BTreeMap<(QueryId, LocationId), MarketRanking>,
 }

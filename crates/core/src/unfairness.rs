@@ -16,10 +16,9 @@ pub mod reference;
 use crate::measures::{self, exposure_unfairness, BinConfig, DiscountModel};
 use crate::model::{AttrId, GroupId, Universe, ValueId};
 use crate::observations::{MarketRanking, UserList};
-use serde::{Deserialize, Serialize};
 
 /// List-distance choice for search-engine unfairness (Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SearchMeasure {
     /// Fagin `K^(p)` Kendall-Tau distance between top-k lists.
     KendallTopK {
@@ -54,7 +53,7 @@ impl SearchMeasure {
 
 /// Distribution-distance choice for marketplace unfairness (Eq. 2 /
 /// §3.3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MarketMeasure {
     /// Earth Mover's Distance between relevance histograms, normalized to
     /// `[0, 1]`.

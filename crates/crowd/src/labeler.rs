@@ -7,14 +7,13 @@
 
 use fbox_marketplace::demographics::{Demographic, Ethnicity, Gender};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One crowd labeler.
 ///
 /// `gender_confusion[truth][label]` and `ethnicity_confusion[truth][label]`
 /// are row-stochastic matrices over the [`Gender::ALL`] /
 /// [`Ethnicity::ALL`] orders.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Labeler {
     /// Labeler id (stable across a study).
     pub id: u64,

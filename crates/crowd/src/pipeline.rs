@@ -14,10 +14,9 @@ use fbox_marketplace::demographics::Demographic;
 use fbox_marketplace::population::Population;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy accounting for one labeling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelingStats {
     /// Workers labeled.
     pub n_workers: usize,

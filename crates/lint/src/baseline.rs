@@ -10,12 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rules::Finding;
 
 /// Serialized baseline file.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
     /// Format version (currently 1).
     pub version: u32,
@@ -23,8 +21,10 @@ pub struct Baseline {
     pub entries: Vec<BaselineEntry>,
 }
 
+serde::object!(Baseline { version, entries });
+
 /// One allowlisted finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
     /// Rule identifier.
     pub rule: String,
@@ -33,6 +33,8 @@ pub struct BaselineEntry {
     /// Trimmed source line the finding matched when baselined.
     pub snippet: String,
 }
+
+serde::object!(BaselineEntry { rule, file, snippet });
 
 impl Baseline {
     /// Parses the JSON file contents.
@@ -134,6 +136,24 @@ mod tests {
         let stale = Matcher::new(&baseline).finish();
         assert_eq!(stale.len(), 1, "unmatched entry must surface as stale");
         assert_eq!(stale[0].snippet, "x == 0.0");
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let baseline =
+            Baseline::from_findings([finding("float-eq", "crates/a.rs", 7, "x == \"0.0\"")].iter());
+        let json = baseline.to_json();
+        let expected = r#"{
+  "version": 1,
+  "entries": [
+    {
+      "rule": "float-eq",
+      "file": "crates/a.rs",
+      "snippet": "x == \"0.0\""
+    }
+  ]
+}"#;
+        assert_eq!(json, expected);
     }
 
     #[test]

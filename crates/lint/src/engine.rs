@@ -6,14 +6,13 @@
 use std::path::{Path, PathBuf};
 
 use fbox_telemetry::{Registry, SpanGuard};
-use serde::{Deserialize, Serialize};
 
 use crate::baseline::{Baseline, BaselineEntry, Matcher};
 use crate::config::Config;
 use crate::rules::{all_rules, Finding, Severity};
 
 /// One reported finding with its resolved severity and baseline status.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reported {
     /// The finding itself.
     pub finding: Finding,
@@ -23,8 +22,10 @@ pub struct Reported {
     pub baselined: bool,
 }
 
+serde::object!(Reported { finding, severity, baselined });
+
 /// Complete result of a lint run.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Report {
     /// All reported findings, sorted by (file, line, rule).
     pub findings: Vec<Reported>,
@@ -35,6 +36,8 @@ pub struct Report {
     /// Number of source lines scanned.
     pub lines_scanned: u32,
 }
+
+serde::object!(Report { findings, stale_baseline, files_scanned, lines_scanned });
 
 impl Report {
     /// Deny-severity findings not covered by the baseline — the set that
@@ -189,6 +192,56 @@ pub fn walk(root: &Path, config: &Config) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let finding = Finding {
+            rule: "flow-unchecked-div".into(),
+            file: "crates/a.rs".into(),
+            line: 12,
+            snippet: "total / n".into(),
+            path: vec!["a::root (crates/a.rs:3)".into(), "a::leaf (crates/a.rs:12)".into()],
+        };
+        let report = Report {
+            findings: vec![Reported { finding, severity: "deny".into(), baselined: false }],
+            stale_baseline: vec![BaselineEntry {
+                rule: "float-eq".into(),
+                file: "gone.rs".into(),
+                snippet: "x == 0.0".into(),
+            }],
+            files_scanned: 2,
+            lines_scanned: 40,
+        };
+        let json = serde::json::to_string_pretty(&report);
+        let expected = r#"{
+  "findings": [
+    {
+      "finding": {
+        "rule": "flow-unchecked-div",
+        "file": "crates/a.rs",
+        "line": 12,
+        "snippet": "total / n",
+        "path": [
+          "a::root (crates/a.rs:3)",
+          "a::leaf (crates/a.rs:12)"
+        ]
+      },
+      "severity": "deny",
+      "baselined": false
+    }
+  ],
+  "stale_baseline": [
+    {
+      "rule": "float-eq",
+      "file": "gone.rs",
+      "snippet": "x == 0.0"
+    }
+  ],
+  "files_scanned": 2,
+  "lines_scanned": 40
+}"#;
+        assert_eq!(json, expected);
+    }
 
     #[test]
     fn deny_failure_counts_stale_entries() {

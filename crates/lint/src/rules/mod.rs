@@ -8,8 +8,6 @@
 //! visible at token level. Numeric safety that needs values — casts and
 //! divisions — belongs to the interval analysis in [`crate::absint`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::source::SourceFile;
 
 mod float_eq;
@@ -22,7 +20,7 @@ mod unsafe_comment;
 mod unwrap;
 
 /// One lint finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule identifier (e.g. `float-eq`).
     pub rule: String,
@@ -38,6 +36,8 @@ pub struct Finding {
     /// for declaration-site findings.
     pub path: Vec<String>,
 }
+
+serde::object!(Finding { rule, file, line, snippet, path });
 
 /// A domain-tailored static-analysis rule. `Sync` because the engine
 /// fans the lexical pass out over `fbox_par::par_map` with one shared

@@ -17,7 +17,7 @@ pub enum FileKind {
     Bin,
     /// Integration tests (`tests/`).
     Test,
-    /// Criterion-style benches (`benches/`).
+    /// Bench targets (`benches/`).
     Bench,
     /// Examples (`examples/`).
     Example,

@@ -11,11 +11,10 @@
 //! from the ranked results through the F-Box pipeline.
 
 use crate::demographics::{Demographic, Ethnicity, Gender};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a matching [`BiasOverride`] does to the penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OverrideAction {
     /// Multiplies the base penalty by a factor (0 disables bias in the
     /// scope, > 1 amplifies it).
@@ -27,7 +26,7 @@ pub enum OverrideAction {
 
 /// A scoped adjustment to the bias profile. All present fields must match
 /// for the override to apply; absent fields match anything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiasOverride {
     /// Match a specific city by name.
     pub location: Option<String>,
@@ -54,7 +53,7 @@ impl BiasOverride {
 }
 
 /// The full bias configuration of a simulated marketplace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiasProfile {
     /// Base penalty (score units in `[0, 1]`) per `[gender][ethnicity]`,
     /// indexed by [`Gender::value_id`] / [`Ethnicity::value_id`] order.

@@ -6,10 +6,8 @@
 //! real TaskRabbit metros. Each city carries a region tag used for
 //! region-restricted questions ("the West Coast", §4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// A TaskRabbit metro area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct City {
     /// Display name, e.g. `"San Francisco, CA"`.
     pub name: &'static str,

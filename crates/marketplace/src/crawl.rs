@@ -30,12 +30,11 @@ use crate::{city, jobs};
 use fbox_core::model::{Schema, Universe};
 use fbox_core::observations::{MarketObservations, MarketRanking, RankingError};
 use fbox_resilience::{hash, CircuitBreaker, Disposition, Journal, PayloadFault, Resilience};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a crawl — the data behind the paper's setup
 /// figures (Figures 7–8), the 5,361-query count of §5.1.1, and the
 /// degradation accounting of a faulted run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrawlStats {
     /// Number of (sub-query, city) result pages retrieved (clean or
     /// truncated).
@@ -68,6 +67,21 @@ pub struct CrawlStats {
     /// has coverage exactly 1.0.
     pub coverage: f64,
 }
+
+serde::object!(CrawlStats {
+    n_queries,
+    n_workers,
+    male_share,
+    ethnicity_shares,
+    n_failed,
+    n_quarantined,
+    n_truncated,
+    n_skipped_breaker,
+    n_retries,
+    n_breaker_trips,
+    backoff_virtual_ms,
+    coverage
+});
 
 /// The final disposition of one grid cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -520,6 +534,30 @@ mod tests {
 
     fn market() -> Marketplace {
         Marketplace::new(Population::paper(5), ScoringModel::default(), BiasProfile::neutral(), 5)
+    }
+
+    #[test]
+    fn stats_json_bytes_are_pinned() {
+        let stats = CrawlStats {
+            n_queries: 5361,
+            n_workers: 3311,
+            male_share: 0.625,
+            ethnicity_shares: [0.1, 0.25, 0.65],
+            n_failed: 1,
+            n_quarantined: 2,
+            n_truncated: 3,
+            n_skipped_breaker: 4,
+            n_retries: 5,
+            n_breaker_trips: 6,
+            backoff_virtual_ms: 7,
+            coverage: 0.99,
+        };
+        let json = serde::json::to_string(&stats);
+        assert_eq!(
+            json,
+            r#"{"n_queries":5361,"n_workers":3311,"male_share":0.625,"ethnicity_shares":[0.1,0.25,0.65],"n_failed":1,"n_quarantined":2,"n_truncated":3,"n_skipped_breaker":4,"n_retries":5,"n_breaker_trips":6,"backoff_virtual_ms":7,"coverage":0.99}"#
+        );
+        assert_eq!(serde::json::from_str::<CrawlStats>(&json).expect("pinned JSON parses"), stats);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 
 use fbox_core::model::{Schema, ValueId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gender of a worker (the paper's AMT labeling used these two
 /// categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gender {
     /// Male.
     Male,
@@ -16,7 +15,7 @@ pub enum Gender {
 }
 
 /// Ethnicity of a worker (the paper's three AMT labeling categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ethnicity {
     /// Asian.
     Asian,
@@ -72,7 +71,7 @@ impl Ethnicity {
 
 /// A full demographic profile: the `[gender, ethnicity]` assignment the
 /// F-Box consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Demographic {
     /// Gender.
     pub gender: Gender,
@@ -100,7 +99,7 @@ impl Demographic {
 /// with the remainder split between Black (20 %) and Asian (14 %) — the
 /// paper reports only the white share, so the split is our estimate from
 /// its bar chart.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationMarginals {
     /// P(male).
     pub male: f64,

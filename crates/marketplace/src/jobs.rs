@@ -8,10 +8,8 @@
 //! are not offered in the smallest market (Baton Rouge), matching the
 //! paper's total exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// A job category with its sub-queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Category {
     /// Category name, e.g. `"General Cleaning"`.
     pub name: &'static str,

@@ -4,12 +4,11 @@
 use crate::demographics::{Demographic, PopulationMarginals};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One tasker. Profile attributes mirror what the paper's crawler
 /// extracted per worker: rank position comes from the engine; badges,
 /// reviews (ratings), and hourly rates live here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Worker {
     /// Stable worker id, unique across the marketplace.
     pub id: u64,
@@ -99,7 +98,7 @@ pub fn stratified_demographics(count: usize, marginals: &PopulationMarginals) ->
 /// Generates the full tasker population, seeded for reproducibility.
 ///
 /// `total` defaults to the paper's 3,311 in [`Population::paper`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Population {
     workers: Vec<Worker>,
     by_city: Vec<Vec<usize>>,

@@ -9,7 +9,6 @@
 
 use crate::bias::BiasProfile;
 use crate::population::Worker;
-use serde::{Deserialize, Serialize};
 
 /// Weights of the merit components. All components are normalized to
 /// `[0, 1]` before weighting; the weighted merit is then mapped into
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// signal the F-Box quantifies) from being drowned out by which
 /// individual high-merit workers a small demographic group happens to
 /// contain in a given city.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoringModel {
     /// Weight of the normalized review rating.
     pub w_rating: f64,

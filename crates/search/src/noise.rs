@@ -4,10 +4,8 @@
 //! suppress them (12-minute spacing, repeated executions, a fixed proxy
 //! location).
 
-use serde::{Deserialize, Serialize};
-
 /// Magnitudes of the three noise sources.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Peak score perturbation from a recent previous query (carry-over).
     pub carryover_strength: f64,
@@ -59,7 +57,7 @@ impl NoiseModel {
 
 /// The context of one search request — everything the protocol can
 /// control.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestContext {
     /// Wall-clock minute of the request (drives A/B bucket churn and
     /// carry-over decay).

@@ -11,12 +11,11 @@
 //! Eq. 1's Kendall/Jaccard unfairness measures.
 
 use fbox_marketplace::demographics::{Demographic, Ethnicity, Gender};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Scoped adjustment, mirroring the marketplace's
 /// [`BiasOverride`](fbox_marketplace::BiasOverride) semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersonalizationOverride {
     /// Match a location by name.
     pub location: Option<String>,
@@ -43,7 +42,7 @@ impl PersonalizationOverride {
 }
 
 /// The personalization configuration of a simulated search engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersonalizationProfile {
     /// Global strength multiplier.
     pub gamma: f64,

@@ -22,7 +22,6 @@ use fbox_core::model::{Schema, Universe};
 use fbox_core::observations::SearchObservations;
 use fbox_marketplace::demographics::{Demographic, Ethnicity, Gender};
 use fbox_resilience::{hash, Disposition, Journal, PayloadFault, Resilience};
-use serde::{Deserialize, Serialize};
 
 /// The study's locations: the paper's ten plus Washington, DC.
 pub const LOCATIONS: [&str; 11] = [
@@ -84,7 +83,7 @@ pub fn paper_coverage() -> &'static [(&'static str, usize)] {
 }
 
 /// Study configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyDesign {
     /// Participants recruited per (full demographic group, location) —
     /// the paper recruited "an average of 3 participants per study".
@@ -100,7 +99,7 @@ impl Default for StudyDesign {
 }
 
 /// Summary statistics of a completed study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyStats {
     /// Number of (group, location) studies — 6 × 11 = 66 here; the paper
     /// ran 60 over its 10 locations.
@@ -126,6 +125,19 @@ pub struct StudyStats {
     /// fault-free study.
     pub coverage: f64,
 }
+
+serde::object!(StudyStats {
+    n_studies,
+    n_participants,
+    n_queries,
+    n_requests_lower_bound,
+    n_failed,
+    n_quarantined,
+    n_truncated,
+    n_retries,
+    backoff_virtual_ms,
+    coverage
+});
 
 /// The universe of the Google study: 11-group lattice, the 20 queries with
 /// category tags, and the 11 locations.
@@ -447,6 +459,28 @@ mod tests {
     use super::*;
     use crate::noise::NoiseModel;
     use crate::personalize::PersonalizationProfile;
+
+    #[test]
+    fn stats_json_bytes_are_pinned() {
+        let stats = StudyStats {
+            n_studies: 66,
+            n_participants: 198,
+            n_queries: 20,
+            n_requests_lower_bound: 3960,
+            n_failed: 1,
+            n_quarantined: 2,
+            n_truncated: 3,
+            n_retries: 4,
+            backoff_virtual_ms: 5,
+            coverage: 0.985,
+        };
+        let json = serde::json::to_string(&stats);
+        assert_eq!(
+            json,
+            r#"{"n_studies":66,"n_participants":198,"n_queries":20,"n_requests_lower_bound":3960,"n_failed":1,"n_quarantined":2,"n_truncated":3,"n_retries":4,"backoff_virtual_ms":5,"coverage":0.985}"#
+        );
+        assert_eq!(serde::json::from_str::<StudyStats>(&json).expect("pinned JSON parses"), stats);
+    }
 
     #[test]
     fn universe_dimensions() {

@@ -2,10 +2,9 @@
 //! framework compares.
 
 use fbox_marketplace::demographics::Demographic;
-use serde::{Deserialize, Serialize};
 
 /// A search-engine user (a Prolific participant in the paper's study).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchUser {
     /// Stable user id; also seeds the user's idiosyncratic taste.
     pub id: u64,

@@ -1,40 +1,44 @@
-//! Point-in-time metric snapshots. A [`Snapshot`] is plain serde-derived
-//! data — it serializes to the JSON the bench trajectory files store and
-//! deserializes back for diffing, so `snapshot → JSON → snapshot` is an
-//! identity.
+//! Point-in-time metric snapshots. A [`Snapshot`] is plain data with
+//! `serde::object!` impls — it serializes to the JSON the bench trajectory
+//! files store and deserializes back for diffing, so
+//! `snapshot → JSON → snapshot` is an identity.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::{bucket_lower_bound, Counter, Gauge, Histogram};
 
 /// One named counter value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricEntry {
     pub name: String,
     pub value: u64,
 }
 
+serde::object!(MetricEntry { name, value });
+
 /// One named gauge value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaugeEntry {
     pub name: String,
     pub value: i64,
 }
 
+serde::object!(GaugeEntry { name, value });
+
 /// A non-empty histogram bucket: samples in `[lower_ns, 2*lower_ns)`
 /// (bucket 0: `[0, 2)` ns; the top bucket is open-ended).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketCount {
     pub lower_ns: u64,
     pub count: u64,
 }
 
+serde::object!(BucketCount { lower_ns, count });
+
 /// One named histogram: exact count/sum/min/max plus its non-empty
 /// buckets. `min_ns`/`max_ns` are both 0 when `count` is 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub name: String,
     pub count: u64,
@@ -43,6 +47,8 @@ pub struct HistogramSnapshot {
     pub max_ns: u64,
     pub buckets: Vec<BucketCount>,
 }
+
+serde::object!(HistogramSnapshot { name, count, sum_ns, min_ns, max_ns, buckets });
 
 impl HistogramSnapshot {
     /// Mean sample duration in nanoseconds (0 when empty).
@@ -114,12 +120,14 @@ impl HistogramSnapshot {
 /// A point-in-time copy of a registry's metrics, sorted by name within
 /// each section. This is the unit the sinks export and
 /// [`Report`](crate::Report) diffs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     pub counters: Vec<MetricEntry>,
     pub gauges: Vec<GaugeEntry>,
     pub histograms: Vec<HistogramSnapshot>,
 }
+
+serde::object!(Snapshot { counters, gauges, histograms });
 
 impl Snapshot {
     pub(crate) fn capture(
@@ -212,6 +220,61 @@ mod tests {
         let json = snap.to_json();
         let back = Snapshot::from_json(&json).expect("snapshot JSON parses");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let snap = Snapshot {
+            counters: vec![MetricEntry { name: "ta.calls".into(), value: 7 }],
+            gauges: vec![GaugeEntry { name: "cube.live_cells".into(), value: -3 }],
+            histograms: vec![HistogramSnapshot {
+                name: "cube.cell".into(),
+                count: 3,
+                sum_ns: 2900,
+                min_ns: 900,
+                max_ns: 1100,
+                buckets: vec![
+                    BucketCount { lower_ns: 512, count: 1 },
+                    BucketCount { lower_ns: 1024, count: 2 },
+                ],
+            }],
+        };
+        let json = snap.to_json();
+        let expected = r#"{
+  "counters": [
+    {
+      "name": "ta.calls",
+      "value": 7
+    }
+  ],
+  "gauges": [
+    {
+      "name": "cube.live_cells",
+      "value": -3
+    }
+  ],
+  "histograms": [
+    {
+      "name": "cube.cell",
+      "count": 3,
+      "sum_ns": 2900,
+      "min_ns": 900,
+      "max_ns": 1100,
+      "buckets": [
+        {
+          "lower_ns": 512,
+          "count": 1
+        },
+        {
+          "lower_ns": 1024,
+          "count": 2
+        }
+      ]
+    }
+  ]
+}"#;
+        assert_eq!(json, expected);
+        assert_eq!(Snapshot::from_json(&json).expect("pinned JSON parses"), snap);
     }
 
     fn hist(count: u64, min_ns: u64, max_ns: u64, buckets: Vec<BucketCount>) -> HistogramSnapshot {

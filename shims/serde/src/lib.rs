@@ -3,28 +3,21 @@
 //! The build environment has no access to crates.io, so this workspace
 //! ships its own minimal serialization framework under the same crate
 //! name: a [`Value`] tree model, [`Serialize`]/[`Deserialize`] traits
-//! converting to and from it, `#[derive(Serialize, Deserialize)]` macros
-//! (from the sibling `serde_derive` shim), and a JSON codec in [`json`].
+//! converting to and from it, the [`object!`] macro implementing both for
+//! a named-field struct, and a JSON codec in [`json`].
 //!
 //! Encoding conventions (self-consistent, not wire-compatible with
 //! `serde_json` in every corner):
 //!
-//! - named-field structs → JSON objects;
-//! - newtype structs → their inner value (transparent);
-//! - tuple structs and tuples → arrays;
-//! - unit enum variants → strings; data variants → `{"Variant": ...}`;
-//! - `Option` → `null` or the value;
-//! - maps → arrays of `[key, value]` pairs (keys need not be strings);
+//! - named-field structs → JSON objects, keys in the listed order;
+//! - `Vec` and arrays → JSON arrays;
 //! - `u64`/`i64`/`usize` → JSON numbers printed in full precision.
-
-pub use serde_derive::{Deserialize, Serialize};
 
 pub mod json;
 mod value;
 
 pub use value::{Number, Value};
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Types convertible into a [`Value`] tree.
@@ -65,6 +58,39 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// Implements [`Serialize`] and [`Deserialize`] for a named-field struct:
+/// `serde::object!(Type { field, … })` writes a JSON object with one key
+/// per listed field, in the listed order, and reads each field back from
+/// its key (a missing key reads as `null`). The read builds a `Self { … }`
+/// literal, so a list that misses a field or names an extra one does not
+/// compile; the order is the one thing the compiler cannot check.
+#[macro_export]
+macro_rules! object {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Serialize for $ty {
+            fn to_value(&self) -> $crate::Value {
+                $crate::Value::Object(vec![$((
+                    stringify!($field).to_owned(),
+                    $crate::Serialize::to_value(&self.$field),
+                )),+])
+            }
+        }
+
+        impl $crate::Deserialize for $ty {
+            fn from_value(v: &$crate::Value) -> ::std::result::Result<Self, $crate::Error> {
+                match v {
+                    $crate::Value::Object(_) => Ok(Self {$(
+                        $field: $crate::Deserialize::from_value(
+                            v.get(stringify!($field)).unwrap_or(&$crate::Value::Null),
+                        )?,
+                    )+}),
+                    _ => Err($crate::Error::expected("object", v)),
+                }
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------------
@@ -90,12 +116,7 @@ macro_rules! impl_serde_int {
     )*};
 }
 
-impl_serde_int!(
-    u8 => U64 as u64, u16 => U64 as u64, u32 => U64 as u64, u64 => U64 as u64,
-    usize => U64 as u64,
-    i8 => I64 as i64, i16 => I64 as i64, i32 => I64 as i64, i64 => I64 as i64,
-    isize => I64 as i64
-);
+impl_serde_int!(u32 => U64 as u64, u64 => U64 as u64, usize => U64 as u64, i64 => I64 as i64);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -109,18 +130,6 @@ impl Deserialize for f64 {
             Value::Number(n) => Ok(n.as_f64()),
             _ => Err(Error::expected("f64", v)),
         }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::F64(*self as f64))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
     }
 }
 
@@ -154,93 +163,9 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
-    }
-}
-
-/// `&'static str` deserializes by interning into a process-lifetime pool
-/// (one leak per *distinct* string). The workspace only uses this for
-/// small fixed vocabularies — city names, job categories — so the pool
-/// stays bounded by the vocabulary size.
-impl Deserialize for &'static str {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        use std::collections::BTreeSet;
-        use std::sync::Mutex;
-        static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-        match v {
-            Value::String(s) => {
-                let mut pool = POOL.lock().expect("intern pool poisoned");
-                if let Some(interned) = pool.get(s.as_str()) {
-                    return Ok(interned);
-                }
-                let leaked: &'static str = Box::leak(s.clone().into_boxed_str());
-                pool.insert(leaked);
-                Ok(leaked)
-            }
-            _ => Err(Error::expected("string", v)),
-        }
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().expect("one char")),
-            _ => Err(Error::expected("single-char string", v)),
-        }
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            _ => Err(Error::expected("null", v)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Containers
 // ---------------------------------------------------------------------------
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
@@ -257,19 +182,13 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
-impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let items = Vec::<T>::from_value(v)?;
         let n = items.len();
@@ -278,87 +197,9 @@ impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-macro_rules! impl_serde_tuple {
-    ($(($($name:ident . $idx:tt),+)),*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
-                match v {
-                    Value::Array(items) if items.len() == LEN => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    _ => Err(Error::expected("fixed-length array", v)),
-                }
-            }
-        }
-    )*};
-}
-
-impl_serde_tuple!((A.0), (A.0, B.1), (A.0, B.1, C.2), (A.0, B.1, C.2, D.3));
-
-/// Maps serialize as arrays of `[key, value]` pairs so non-string keys
-/// (tuples, derived structs) round-trip losslessly.
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter().map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()])).collect(),
-        )
-    }
-}
-
-impl<K, V, S> Deserialize for HashMap<K, V, S>
-where
-    K: Deserialize + Eq + std::hash::Hash,
-    V: Deserialize,
-    S: std::hash::BuildHasher + Default,
-{
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let pairs = Vec::<(K, V)>::from_value(v)?;
-        Ok(pairs.into_iter().collect())
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter().map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()])).collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let pairs = Vec::<(K, V)>::from_value(v)?;
-        Ok(pairs.into_iter().collect())
-    }
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
     }
 }
 
@@ -381,23 +222,37 @@ mod tests {
 
     #[test]
     fn containers_round_trip() {
-        let v = vec![(1u32, "a".to_owned()), (2, "b".to_owned())];
-        assert_eq!(Vec::<(u32, String)>::from_value(&v.to_value()).unwrap(), v);
-
-        let mut m = HashMap::new();
-        m.insert((1u32, 2u32), 0.5f64);
-        assert_eq!(HashMap::<(u32, u32), f64>::from_value(&m.to_value()).unwrap(), m);
+        let v = vec!["a".to_owned(), "b".to_owned()];
+        assert_eq!(Vec::<String>::from_value(&v.to_value()).unwrap(), v);
 
         let arr = [0.1f64, 0.2, 0.3];
         assert_eq!(<[f64; 3]>::from_value(&arr.to_value()).unwrap(), arr);
-
-        assert_eq!(Option::<u32>::from_value(&None::<u32>.to_value()).unwrap(), None);
-        assert_eq!(Option::<u32>::from_value(&Some(3u32).to_value()).unwrap(), Some(3));
+        assert!(<[f64; 2]>::from_value(&arr.to_value()).is_err());
     }
 
     #[test]
     fn narrowing_out_of_range_fails() {
-        assert!(u8::from_value(&300u64.to_value()).is_err());
+        assert!(u32::from_value(&(u64::from(u32::MAX) + 1).to_value()).is_err());
         assert!(u32::from_value(&(-1i64).to_value()).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        count: u64,
+        label: String,
+    }
+
+    object!(Pair { count, label });
+
+    #[test]
+    fn object_writes_listed_keys_and_rejects_bad_input() {
+        let pair = Pair { count: 3, label: "x".to_owned() };
+        assert_eq!(json::to_string(&pair), r#"{"count":3,"label":"x"}"#);
+        assert_eq!(json::from_str::<Pair>(r#"{"label":"x","count":3}"#), Ok(pair));
+
+        let err = json::from_str::<Pair>("[3]").unwrap_err();
+        assert!(err.to_string().contains("expected object"), "{err}");
+        let err = json::from_str::<Pair>(r#"{"label":"x"}"#).unwrap_err();
+        assert!(err.to_string().contains("expected u64, found null"), "{err}");
     }
 }

@@ -40,7 +40,7 @@ impl Number {
 /// A serialized value tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// JSON `null` (also `Option::None` and unit).
+    /// JSON `null` (also what a missing object key reads as).
     Null,
     /// JSON boolean.
     Bool(bool),

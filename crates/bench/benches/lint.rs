@@ -1,6 +1,7 @@
-//! Static-analysis throughput (single-worker vs parallel `fbox-lint` over
-//! this workspace), writing the `BENCH_lint.json` trajectory file at the
-//! workspace root. The measurement itself lives in
+//! Static-analysis throughput (`fbox-lint` over this workspace, timed at
+//! `FBOX_THREADS` 1 and [`THREADS`]; the engine is single-threaded, so
+//! both timings run the same code), writing the `BENCH_lint.json`
+//! trajectory file at the workspace root. The measurement itself lives in
 //! [`fbox_bench::suites::lint_suite`] so the `fbox-bench --check` trend
 //! gate reruns exactly this workload.
 
@@ -23,8 +24,8 @@ fn main() {
         outcome.absint_ms,
         path.display()
     );
-    // The report must be worker-count-independent: the engine flattens
-    // per-file results in input order and runs sema sequentially.
+    // The report must not depend on the worker count: the engine runs
+    // on one thread whatever `FBOX_THREADS` says.
     let parity = outcome
         .snapshot
         .gauges

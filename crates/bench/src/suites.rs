@@ -58,8 +58,8 @@ pub struct ResilienceOutcome {
     pub retries: u64,
 }
 
-/// Outcome of [`lint_suite`]: serial vs parallel static analysis of this
-/// workspace.
+/// Outcome of [`lint_suite`]: static analysis of this workspace, timed
+/// at two worker counts.
 #[derive(Debug, Clone)]
 pub struct LintOutcome {
     /// The suite's metrics (`lint.*`).
@@ -261,11 +261,10 @@ pub fn resilience_suite() -> ResilienceOutcome {
 }
 
 /// Static-analysis throughput: `fbox-lint`'s full run over this very
-/// workspace, single-worker vs [`THREADS`] workers. The lexing/parsing
-/// and lexical-rule passes fan out per file; the call-graph + dataflow
-/// semantic pass is sequential in both configurations, so the speedup
-/// bounds what Amdahl leaves on the table. A parity gauge pins the
-/// engine's determinism promise: both reports must be identical.
+/// workspace, timed under `FBOX_THREADS` 1 and [`THREADS`]. The engine
+/// is single-threaded, so both configurations run the same code and
+/// `lint.speedup_x100` reads about 100; the parity gauge pins that the
+/// worker count has no effect on the report.
 pub fn lint_suite() -> LintOutcome {
     let registry = fbox_telemetry::Registry::new();
     let serial_h = registry.histogram("lint.serial");

@@ -14,6 +14,7 @@
 //! becomes a finding is entirely the rules' decision.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::lexer::{Tok, Token};
 use crate::parser::is_keyword;
@@ -22,8 +23,9 @@ use super::domain::{AbsVal, FloatFacts, IntKind, Interval, POS_INF};
 
 /// Variable environment: name → abstract value. Missing names are
 /// uninitialized-on-this-path (treated as absent at joins) and evaluate
-/// to ⊤.
-pub type Env = BTreeMap<String, AbsVal>;
+/// to ⊤. Keys are shared `Rc<str>`s, so the fixpoint's many environment
+/// copies and joins copy no name text.
+pub type Env = BTreeMap<Rc<str>, AbsVal>;
 
 /// Refines an environment by the condition tokens `[lo, hi)` being
 /// `true` (`positive`) or `false`.
@@ -886,8 +888,11 @@ impl<'a> Evaluator<'a> {
 
         // Plain path value.
         if segments.len() == 1 {
-            let val =
-                env.get(&name).or_else(|| self.consts.get(&name)).copied().unwrap_or(AbsVal::Top);
+            let val = env
+                .get(name.as_str())
+                .or_else(|| self.consts.get(&name))
+                .copied()
+                .unwrap_or(AbsVal::Top);
             return Evaled { val, name: Some(name) };
         }
         let n_segs = segments.len();
@@ -1284,7 +1289,7 @@ mod tests {
         let consts = BTreeMap::new();
         let mut oracle = |_: usize, _: &str, _: &[AbsVal]| AbsVal::Top;
         let mut ev = Evaluator::new(&lexed.tokens, &consts, &[], &mut oracle);
-        let env: Env = env.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect();
+        let env: Env = env.iter().map(|(k, v)| ((*k).into(), *v)).collect();
         let out = ev.eval(&env, 0, lexed.tokens.len());
         (out.val, ev.events)
     }
@@ -1471,7 +1476,7 @@ mod tests {
         };
         let mut ev = Evaluator::new(&lexed.tokens, &consts, &[], &mut oracle);
         let env: Env =
-            [("share".to_owned(), AbsVal::Float(FloatFacts::of_value(0.5)))].into_iter().collect();
+            [("share".into(), AbsVal::Float(FloatFacts::of_value(0.5)))].into_iter().collect();
         ev.eval(&env, 0, lexed.tokens.len());
         let has_call_event = ev.events.iter().any(|e| matches!(e, Event::Call { at: 0, .. }));
         drop(ev);

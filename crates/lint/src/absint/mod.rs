@@ -17,9 +17,8 @@
 //! fixpointed bottom-up: a function's summary (return interval plus
 //! assert-derived argument preconditions) is available to every caller
 //! in a later SCC, and calls *within* an SCC — recursion — are cut at ⊤.
-//! SCC levels with no edges between them are analyzed in parallel with
-//! `fbox_par::par_map`, which preserves item order, so the analysis is
-//! byte-identical at any `FBOX_THREADS`.
+//! SCCs run one at a time, on one thread, in the order `condense` emits
+//! them (callees first).
 //!
 //! The engine deliberately evaluates *twice*: fixpoint iterations
 //! discard events, and a single post-convergence reporting pass over the
@@ -31,6 +30,7 @@ pub mod eval;
 pub mod rules;
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::flow::stmt::{StmtId, StmtKind};
 use crate::flow::FnFlow;
@@ -88,12 +88,12 @@ const SHRINKING: &[&str] = &[
     "truncate",
 ];
 
-pub(crate) fn pair_key(hi: &str, lo: &str) -> String {
-    format!("{PAIR_PREFIX}{hi} {lo}")
+pub(crate) fn pair_key(hi: &str, lo: &str) -> Rc<str> {
+    format!("{PAIR_PREFIX}{hi} {lo}").into()
 }
 
-pub(crate) fn len_key(name: &str) -> String {
-    format!("{LEN_PREFIX}{name}")
+pub(crate) fn len_key(name: &str) -> Rc<str> {
+    format!("{LEN_PREFIX}{name}").into()
 }
 
 /// Whether an [`Env`] key is a guard fact rather than a variable.
@@ -171,33 +171,6 @@ pub fn analyze(
     let scc_count = sccs.len();
     let max_scc_len = sccs.iter().map(Vec::len).max().unwrap_or(0);
 
-    // SCC levels: level(S) = 1 + max level of any callee SCC. `condense`
-    // emits callees first, so one ordered pass suffices. Levels have no
-    // edges inside them except within one SCC, so every already-computed
-    // summary a node can reach is final when its level runs — and a call
-    // into a summary still missing is exactly a same-SCC (recursive)
-    // call, which the oracle cuts at ⊤.
-    let mut scc_of = vec![0usize; graph.len()];
-    for (i, scc) in sccs.iter().enumerate() {
-        for &n in scc {
-            scc_of[n] = i;
-        }
-    }
-    let mut level_of = vec![0usize; sccs.len()];
-    let mut levels: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, scc) in sccs.iter().enumerate() {
-        let mut level = 0;
-        for &n in scc {
-            for &callee in &graph[n] {
-                if scc_of[callee] != i {
-                    level = level.max(level_of[scc_of[callee]] + 1);
-                }
-            }
-        }
-        level_of[i] = level;
-        levels.entry(level).or_default().extend(scc.iter().copied());
-    }
-
     let mut out = Analysis {
         fns: (0..nodes.len()).map(|_| None).collect(),
         summaries: vec![None; nodes.len()],
@@ -218,16 +191,24 @@ pub fn analyze(
             closures.entry(depth).or_default().push(id);
         }
     }
-    let batches = levels
-        .into_values()
-        .map(|batch| batch.into_iter().filter(|&id| !nodes[id].is_closure).collect::<Vec<_>>())
+    // Each batch reads the summaries frozen before it and commits after
+    // it. An SCC is one batch, so a call into a summary still missing is
+    // exactly a same-SCC (recursive) call, which the oracle cuts at ⊤;
+    // `condense` emits callees first, so every other summary a node can
+    // reach is already final.
+    let batches = sccs
+        .into_iter()
+        .map(|scc| scc.into_iter().filter(|&id| !nodes[id].is_closure).collect::<Vec<_>>())
         .chain(closures.into_values());
-    for mut batch in batches {
-        batch.sort_unstable();
-        let results = fbox_par::par_map(&batch, |&id| {
-            let captured = captured_env(id, files, nodes, flows, &out.fns).unwrap_or_default();
-            analyze_node(id, files, nodes, flows, call_sites, &out.summaries, &out.consts, captured)
-        });
+    for batch in batches {
+        let results: Vec<_> = batch
+            .iter()
+            .map(|&id| {
+                let env = captured_env(id, files, nodes, flows, &out.fns).unwrap_or_default();
+                let (summaries, consts) = (&out.summaries, &out.consts);
+                analyze_node(id, files, nodes, flows, call_sites, summaries, consts, env)
+            })
+            .collect();
         for (&id, (fa, summary)) in batch.iter().zip(results) {
             out.fns[id] = fa;
             out.summaries[id] = Some(summary);
@@ -261,7 +242,7 @@ fn captured_env(
                 (Some(pair), _) => pair.split(' ').collect(),
                 (_, Some(name)) if shrunk.contains(&name) => return false,
                 (_, Some(name)) => vec![name],
-                _ => vec![key.as_str()],
+                _ => vec![key.as_ref()],
             };
             !names.iter().any(|name| own.defines(name))
         })
@@ -481,10 +462,10 @@ impl<'a> FnCx<'a> {
         let mut env = self.captured.clone();
         for name in &self.flow.params {
             let ty = param_type(self.toks, self.sig, name);
-            env.insert(name.clone(), apply_decl_type(AbsVal::Top, ty.as_deref()));
+            env.insert(name.as_str().into(), apply_decl_type(AbsVal::Top, ty.as_deref()));
         }
         if let Some(index) = self.enumerate_item() {
-            env.insert(index, len_range());
+            env.insert(index.into(), len_range());
         }
         env
     }
@@ -510,9 +491,9 @@ impl<'a> FnCx<'a> {
                 diverged = true;
                 break;
             }
-            let env = ins[s].clone().expect("worklisted statements have environments");
-            let out = self.transfer(s, &env, None);
-            for (t, flowed) in self.flow_into(s, &out) {
+            let env = ins[s].as_ref().expect("worklisted statements have environments");
+            let out = self.transfer(s, env, None);
+            for (t, flowed) in self.flow_into(s, out) {
                 if t >= n {
                     continue; // virtual exit
                 }
@@ -561,7 +542,7 @@ impl<'a> FnCx<'a> {
                 for &p in &preds[t] {
                     let Some(p_env) = &ins[p] else { continue };
                     let out = self.transfer(p, p_env, None);
-                    for (tt, flowed) in self.flow_into(p, &out) {
+                    for (tt, flowed) in self.flow_into(p, out) {
                         if tt != t {
                             continue;
                         }
@@ -673,7 +654,7 @@ impl<'a> FnCx<'a> {
         after: &'e Env,
     ) -> impl Iterator<Item = (usize, AbsVal)> + 'e {
         self.flow.params.iter().enumerate().filter_map(|(idx, name)| {
-            let (b, a) = (before.get(name)?, after.get(name)?);
+            let (b, a) = (before.get(name.as_str())?, after.get(name.as_str())?);
             (a != b).then_some((idx, *a))
         })
     }
@@ -708,16 +689,16 @@ impl<'a> FnCx<'a> {
                     kill_facts(&mut out, def);
                 }
                 if stmt.defs.len() == 1 {
-                    out.insert(stmt.defs[0].clone(), val);
+                    out.insert(stmt.defs[0].as_str().into(), val);
                 } else if let Some(elems) = tuple_binding(self.toks, lo, hi) {
                     // `let (a, b) = (x, y);` binds elementwise (evaluating
                     // the tuple above already collected the events).
                     for (name, (elo, ehi)) in elems {
-                        out.insert(name, self.eval_quiet(env, elo, ehi).val);
+                        out.insert(name.into(), self.eval_quiet(env, elo, ehi).val);
                     }
                 } else {
                     for def in &stmt.defs {
-                        out.insert(def.clone(), AbsVal::Top);
+                        out.insert(def.as_str().into(), AbsVal::Top);
                     }
                 }
             }
@@ -745,7 +726,7 @@ impl<'a> FnCx<'a> {
                         let colon = find_depth0_angles(self.toks, lo, eq, |t| t.is_punct(':'))?;
                         type_name_at(self.toks, colon + 1, eq)
                     });
-                    out.insert(target.clone(), apply_decl_type(val, ty.as_deref()));
+                    out.insert(target.as_str().into(), apply_decl_type(val, ty.as_deref()));
                     return out;
                 }
                 // `x = v` binds; `x.field = v` / `x[i] = v` invalidates
@@ -755,7 +736,7 @@ impl<'a> FnCx<'a> {
                 if let (false, Some(op_at)) = (simple, op_at) {
                     self.eval_range(env, lo, op_at, sink_ref);
                 }
-                out.insert(target.clone(), if simple { val } else { AbsVal::Top });
+                out.insert(target.as_str().into(), if simple { val } else { AbsVal::Top });
             }
             StmtKind::Expr => {
                 if let Some((clo, chi)) = assert_cond_range(self.toks, stmt.tokens) {
@@ -770,9 +751,9 @@ impl<'a> FnCx<'a> {
                     // other side's value.
                     for (side, other) in [(&a, &b.val), (&b, &a.val)] {
                         if let Some(name) = &side.name {
-                            if out.contains_key(name) {
+                            if out.contains_key(name.as_str()) {
                                 let met = meet_vals(&side.val, other);
-                                out.insert(name.clone(), met);
+                                out.insert(name.as_str().into(), met);
                             }
                         }
                     }
@@ -827,7 +808,7 @@ impl<'a> FnCx<'a> {
         {
             for def in &stmt.defs {
                 kill_facts(&mut out, def);
-                out.insert(def.clone(), AbsVal::Top);
+                out.insert(def.as_str().into(), AbsVal::Top);
             }
         }
         // Mutation the evaluator cannot see: `&mut x` arguments and
@@ -862,7 +843,7 @@ impl<'a> FnCx<'a> {
     /// else-less fall-throughs the negated (single-conjunct) condition,
     /// `while` bodies the loop condition, `for x in a..b` bodies the
     /// iteration range of `x`.
-    fn flow_into(&self, s: StmtId, out: &Env) -> Vec<(usize, Env)> {
+    fn flow_into(&self, s: StmtId, out: Env) -> Vec<(usize, Env)> {
         let stmt = &self.flow.tree.stmts[s];
         let succ = &self.flow.cfg.succ[s];
         let (lo, hi) = stmt.tokens;
@@ -912,8 +893,9 @@ impl<'a> FnCx<'a> {
                 }
             }
             _ => {
-                for &t in succ {
-                    edges.push((t, out.clone()));
+                if let Some((&last, rest)) = succ.split_last() {
+                    edges.extend(rest.iter().map(|&t| (t, out.clone())));
+                    edges.push((last, out));
                 }
             }
         }
@@ -932,7 +914,7 @@ impl<'a> FnCx<'a> {
         };
         if let Some((var, val)) = bound {
             kill_facts(&mut env, &var);
-            env.insert(var, val);
+            env.insert(var.into(), val);
         }
         env
     }
@@ -1027,7 +1009,7 @@ impl<'a> FnCx<'a> {
         // `x.is_finite()` — only the positive direction carries a fact.
         if positive {
             if let Some(name) = method_test(toks, lo, hi, "is_finite") {
-                if env.contains_key(&name) {
+                if env.contains_key(name.as_str()) {
                     add_float_facts(
                         &mut env,
                         &name,
@@ -1037,7 +1019,7 @@ impl<'a> FnCx<'a> {
                 return env;
             }
             if let Some((name, range)) = contains_test(toks, lo, hi) {
-                if env.contains_key(&name) {
+                if env.contains_key(name.as_str()) {
                     return self.refine_contains(env, &name, range);
                 }
                 return env;
@@ -1056,7 +1038,7 @@ impl<'a> FnCx<'a> {
         // proven on every path. Only *locals* (already bound in the env)
         // participate — refining a const's name would shadow its value.
         if let (Some(a), Some(b)) = (&lhs_name, &rhs_name) {
-            if env.contains_key(a) && env.contains_key(b) {
+            if env.contains_key(a.as_str()) && env.contains_key(b.as_str()) {
                 match op {
                     ">=" | ">" => {
                         env.insert(pair_key(a, b), AbsVal::Bool);
@@ -1078,7 +1060,7 @@ impl<'a> FnCx<'a> {
         ];
         for (slo, shi, op, other, other_zero) in sides {
             if let Some(name) = single_ident(toks, slo, shi) {
-                if env.contains_key(&name) {
+                if env.contains_key(name.as_str()) {
                     refine_by_cmp(&mut env, &name, op, other, other_zero);
                 }
             } else if let Some(name) = method_test(toks, slo, shi, "len") {
@@ -1093,7 +1075,7 @@ impl<'a> FnCx<'a> {
                     ">=" => c.non_negative && c.non_zero,
                     _ => false,
                 };
-                if nonzero && env.contains_key(&name) {
+                if nonzero && env.contains_key(name.as_str()) {
                     add_float_facts(
                         &mut env,
                         &name,
@@ -1131,9 +1113,9 @@ impl<'a> FnCx<'a> {
                 continue;
             };
             let Some(name) = single_ident(toks, alo, ahi) else { continue };
-            if let Some(cur) = env.get(&name) {
+            if let Some(cur) = env.get(name.as_str()) {
                 let met = meet_vals(cur, val);
-                env.insert(name, met);
+                env.insert(name.into(), met);
             }
         }
         Some(env)
@@ -1144,7 +1126,7 @@ impl<'a> FnCx<'a> {
     fn refine_contains(&self, mut env: Env, name: &str, (rlo, rhi): (usize, usize)) -> Env {
         if let Some(bound) = self.range_value(&env, rlo, rhi) {
             let cur = env.get(name).copied().unwrap_or(AbsVal::Top);
-            env.insert(name.to_owned(), meet_vals(&cur, &bound));
+            env.insert(name.into(), meet_vals(&cur, &bound));
         } else if let Some(dots) =
             find_depth0(self.toks, rlo, rhi, |t| matches!(t, Tok::Op(".." | "..=")))
         {
@@ -1179,7 +1161,7 @@ impl<'a> FnCx<'a> {
                 if let Some(Tok::Ident(name)) = toks.get(i + 2).map(|t| &t.tok) {
                     if env.contains_key(name.as_str()) {
                         kill_facts(env, name);
-                        env.insert(name.clone(), AbsVal::Top);
+                        env.insert(name.as_str().into(), AbsVal::Top);
                     }
                 }
             }
@@ -1202,7 +1184,7 @@ impl<'a> FnCx<'a> {
                 };
                 if writes && env.contains_key(name.as_str()) {
                     kill_facts(env, name);
-                    env.insert(name.clone(), AbsVal::Top);
+                    env.insert(name.as_str().into(), AbsVal::Top);
                 }
             }
         }
@@ -1225,65 +1207,63 @@ impl<'a> FnCx<'a> {
 // Environment lattice operations.
 // ---------------------------------------------------------------------
 
+/// Merges two environments in one ordered pass over their keys. `f`
+/// sees each key with its value on either side (at least one present)
+/// and returns the merged value, or `None` to drop the key.
+fn merge_envs(
+    a: &Env,
+    b: &Env,
+    f: impl Fn(&str, Option<&AbsVal>, Option<&AbsVal>) -> Option<AbsVal>,
+) -> Env {
+    let (mut ia, mut ib) = (a.iter().peekable(), b.iter().peekable());
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    loop {
+        // Advance whichever side holds the smaller key; both on a tie.
+        let (take_a, take_b) = match (ia.peek(), ib.peek()) {
+            (Some((ka, _)), Some((kb, _))) => (ka <= kb, kb <= ka),
+            (ea, _) => (ea.is_some(), ea.is_none()),
+        };
+        let ea = if take_a { ia.next() } else { None };
+        let eb = if take_b { ib.next() } else { None };
+        let Some(&(k, _)) = ea.as_ref().or(eb.as_ref()) else { break };
+        if let Some(v) = f(k, ea.map(|e| e.1), eb.map(|e| e.1)) {
+            out.push((k.clone(), v));
+        }
+    }
+    out.into_iter().collect()
+}
+
 /// Join of two environments. A variable missing on one side is unbound
 /// on that path (any use there is impossible), so the bound side's value
 /// survives; `#` guard facts are *proofs* and survive only when both
 /// sides carry them.
 fn join_envs(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, va) in a {
-        match b.get(k) {
-            Some(vb) => {
-                out.insert(k.clone(), va.join(vb));
-            }
-            None => {
-                if !is_fact_key(k) {
-                    out.insert(k.clone(), *va);
-                }
-            }
-        }
-    }
-    for (k, vb) in b {
-        if !a.contains_key(k) && !is_fact_key(k) {
-            out.insert(k.clone(), *vb);
-        }
-    }
-    out
+    merge_envs(a, b, |k, va, vb| match (va, vb) {
+        (Some(va), Some(vb)) => Some(va.join(vb)),
+        (Some(v), None) | (None, Some(v)) => (!is_fact_key(k)).then_some(*v),
+        (None, None) => None,
+    })
 }
 
 /// Widening join at a loop head (see [`AbsVal::widen`]).
 fn widen_envs(old: &Env, new: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, vn) in new {
-        let v = match old.get(k) {
-            Some(vo) => vn.widen(vo),
-            None => *vn,
-        };
-        out.insert(k.clone(), v);
-    }
-    out
+    merge_envs(old, new, |_, vo, vn| {
+        let vn = vn?;
+        Some(vo.map_or(*vn, |vo| vn.widen(vo)))
+    })
 }
 
 /// Narrowing: keep `old`'s finite bounds, adopt `fresh`'s bound wherever
 /// `old` was widened to ±∞ (and adopt `fresh` wholesale for the finite
-/// float/bool lattices, where re-iteration is already exact).
+/// float/bool lattices, where re-iteration is already exact). Keys only
+/// in `fresh` (a variable bound later than the widened snapshot saw) are
+/// adopted as-is.
 fn narrow_envs(old: &Env, fresh: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, vo) in old {
-        let v = match fresh.get(k) {
-            Some(vf) => narrow_val(vo, vf),
-            None => *vo,
-        };
-        out.insert(k.clone(), v);
-    }
-    // Keys only in `fresh` (a variable bound later than the widened
-    // snapshot saw) are adopted as-is.
-    for (k, vf) in fresh {
-        if !old.contains_key(k) {
-            out.insert(k.clone(), *vf);
-        }
-    }
-    out
+    merge_envs(old, fresh, |_, vo, vf| match (vo, vf) {
+        (Some(vo), Some(vf)) => Some(narrow_val(vo, vf)),
+        (Some(v), None) | (None, Some(v)) => Some(*v),
+        (None, None) => None,
+    })
 }
 
 fn narrow_val(old: &AbsVal, fresh: &AbsVal) -> AbsVal {
@@ -1336,7 +1316,7 @@ fn add_float_facts(env: &mut Env, name: &str, facts: FloatFacts) {
         AbsVal::Top => AbsVal::Float(facts),
         other => other,
     };
-    env.insert(name.to_owned(), next);
+    env.insert(name.into(), next);
 }
 
 /// Meets `env[name]` against a comparison with abstract value `other`:
@@ -1375,7 +1355,7 @@ fn refine_by_cmp(env: &mut Env, name: &str, op: &str, other: &AbsVal, other_zero
                 _ => None,
             };
             let next = meet_vals(&cur, &AbsVal::Int { iv: bound, kind });
-            env.insert(name.to_owned(), next);
+            env.insert(name.into(), next);
         }
         AbsVal::Float(facts) => {
             let proven = match op {

@@ -197,7 +197,6 @@ mod tests {
 # comment
 [rules]
 float-eq = "deny"   # trailing comment
-expect-in-lib = "warn"
 
 [paths]
 exclude = ["shims", "crates/lint/tests/fixtures"]
@@ -234,13 +233,19 @@ unwrap-in-lib = "allow"
         // The error names the offending line and id.
         let err = Config::parse("[rules]\ndet-hash-itre = \"deny\"\n").expect_err("typo rejected");
         assert!(err.contains(":2:") && err.contains("det-hash-itre"), "{err}");
+        // Retired rules are unknown too, so a stale Lint.toml fails loudly.
+        for retired in ["expect-in-lib", "det-wall-clock", "par-panic-reachable"] {
+            let err = Config::parse(&format!("# stale\n[rules]\n{retired} = \"warn\"\n"))
+                .expect_err("retired rule rejected");
+            assert!(err.contains(":3:") && err.contains(retired), "{err}");
+        }
     }
 
     #[test]
     fn sema_rule_ids_are_known_everywhere() {
         let cfg = Config::parse(
             "[rules]\ndet-hash-iter = \"warn\"\n\
-             [crate.crates/bench]\npar-panic-reachable = \"allow\"\n\
+             [crate.crates/bench]\npar-shared-capture = \"allow\"\n\
              [rule.det-env-read]\nallow-paths = [\"crates/par\"]\n",
         )
         .expect("sema ids are valid in every section");

@@ -60,30 +60,20 @@ pub fn run(root: &Path, config: &Config, baseline: &Baseline, registry: &Registr
     let rules = all_rules();
     let mut report = Report::default();
 
-    // I/O stays serial (the walk order defines file identity), then
-    // lexing/parsing and the per-file lexical rules fan out over
-    // `fbox_par::par_map`. Per-file work is independent and `par_map`
-    // returns results in input order, so the flattened finding list is
-    // byte-identical at any `FBOX_THREADS`. The semantic pass needs every
-    // file at once (the call graph spans the workspace), so sources are
-    // held in memory and sema runs sequentially after the fan-out.
-    let texts: Vec<(String, String)> = walk(root, config)
-        .into_iter()
-        .filter_map(|rel| {
-            let text = std::fs::read_to_string(root.join(&rel)).ok()?;
-            Some((rel, text))
-        })
-        .collect();
+    // One thread throughout: walk order defines file identity, and the
+    // semantic pass needs every file at once (the call graph spans the
+    // workspace), so sources are held in memory. A per-file fan-out of
+    // parsing and the lexical rules measured slower than this on a
+    // 2-vCPU host.
     let sources: Vec<crate::source::SourceFile> = {
         let _span = SpanGuard::enter(registry, "lint.parse");
-        fbox_par::par_map(&texts, |(rel, text)| crate::source::SourceFile::parse(rel, text))
+        walk(root, config).iter().filter_map(|rel| crate::source::load(root, rel)).collect()
     };
-    drop(texts);
 
-    let mut raw: Vec<(Finding, Severity)> = {
+    let mut raw: Vec<(Finding, Severity)> = Vec::new();
+    {
         let _span = SpanGuard::enter(registry, "lint.lexical");
-        fbox_par::par_map(&sources, |file| {
-            let mut found: Vec<(Finding, Severity)> = Vec::new();
+        for file in &sources {
             for rule in &rules {
                 if !config.rule_applies_to(rule.id(), &file.path) {
                     continue;
@@ -95,14 +85,10 @@ pub fn run(root: &Path, config: &Config, baseline: &Baseline, registry: &Registr
                 }
                 let mut hits = Vec::new();
                 rule.check(file, &mut hits);
-                found.extend(hits.into_iter().map(|f| (f, severity)));
+                raw.extend(hits.into_iter().map(|f| (f, severity)));
             }
-            found
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
+        }
+    }
     report.files_scanned = sources.len().min(u32::MAX as usize) as u32;
     let total_lines: usize = sources.iter().map(|f| f.lines.len()).sum();
     report.lines_scanned = total_lines.min(u32::MAX as usize) as u32;

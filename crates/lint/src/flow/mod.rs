@@ -1,26 +1,22 @@
-//! Body-level flow analysis: a tolerant statement parser
-//! ([`stmt`]), per-function control-flow graphs ([`cfg`](mod@cfg)), def/use token
-//! scanners ([`defuse`]), and a gen/kill worklist dataflow engine
-//! ([`dataflow`]). The sema pass builds one [`FnFlow`] per function-like
-//! node; the flow rules (`par-shared-capture`, `par-float-reduce-order`,
-//! `atomic-relaxed-handoff`) query it for statement-level paths and
-//! reaching definitions, and the interval analysis ([`crate::absint`])
-//! runs over its CFGs. Guard facts — what a comparison or an
-//! `is_empty()` test proves about a value, which is what divisions and
-//! casts need — are absint's, not this module's.
+//! Body-level flow analysis: a tolerant statement parser ([`stmt`]),
+//! per-function control-flow graphs ([`cfg`](mod@cfg)) and def/use token
+//! scanners ([`defuse`]). The sema pass builds one [`FnFlow`] per
+//! function-like node; the flow rules (`par-shared-capture`,
+//! `par-float-reduce-order`, `atomic-relaxed-handoff`) query it for
+//! statement-level paths and def/use sets, and the interval analysis
+//! ([`crate::absint`]) runs over its CFGs. Guard facts — what a
+//! comparison or an `is_empty()` test proves about a value, which is what
+//! divisions and casts need — are absint's, not this module's.
 
 pub mod cfg;
-pub mod dataflow;
 pub mod defuse;
 pub mod stmt;
 
 use crate::lexer::{Tok, Token};
 
-use dataflow::{BitSet, Solution};
 use stmt::{BodyTree, Stmt, StmtId, StmtKind};
 
-/// A function body's flow analysis: statement tree, CFG, and the solved
-/// *reaching definitions* problem (may, over statement ids).
+/// A function body's flow analysis: statement tree and CFG.
 #[derive(Debug, Clone)]
 pub struct FnFlow {
     /// Parsed statement arena.
@@ -31,8 +27,6 @@ pub struct FnFlow {
     pub params: Vec<String>,
     /// Sorted universe of defined variable names.
     pub vars: Vec<String>,
-    /// Reaching definitions: facts are statement ids.
-    pub reach: Solution,
 }
 
 impl FnFlow {
@@ -41,23 +35,9 @@ impl FnFlow {
         &self.tree.stmts[id]
     }
 
-    /// Index of `name` in the variable universe.
-    pub fn var_id(&self, name: &str) -> Option<usize> {
-        self.vars.binary_search_by(|v| v.as_str().cmp(name)).ok()
-    }
-
     /// Whether `name` is defined anywhere in this body (params included).
     pub fn defines(&self, name: &str) -> bool {
-        self.var_id(name).is_some()
-    }
-
-    /// Statement ids whose definition of `name` reaches the entry of
-    /// statement `at`.
-    pub fn reaching_defs(&self, at: StmtId, name: &str) -> Vec<StmtId> {
-        self.reach.ins[at]
-            .iter()
-            .filter(|&d| self.tree.stmts[d].defs.iter().any(|v| v == name))
-            .collect()
+        self.vars.binary_search_by(|v| v.as_str().cmp(name)).is_ok()
     }
 
     /// The innermost statement whose head token range contains `tok`
@@ -213,42 +193,10 @@ pub fn analyze(
     let params = fn_params(toks, sig, is_closure);
     let tree = stmt::parse_body(toks, body, params.clone(), skip, decl_line);
     let cfg = cfg::build(&tree);
-    let n = tree.stmts.len();
-
     let mut vars: Vec<String> = tree.stmts.iter().flat_map(|s| s.defs.iter().cloned()).collect();
     vars.sort();
     vars.dedup();
-
-    // Reaching definitions: facts are statement ids; a statement kills
-    // every other definition of any variable it defines.
-    let mut defs_of: Vec<Vec<StmtId>> = vec![Vec::new(); vars.len()];
-    for (id, s) in tree.stmts.iter().enumerate() {
-        for d in &s.defs {
-            if let Ok(v) = vars.binary_search(d) {
-                defs_of[v].push(id);
-            }
-        }
-    }
-    let mut gen = vec![BitSet::empty(n); n + 1];
-    let mut kill = vec![BitSet::empty(n); n + 1];
-    for (id, s) in tree.stmts.iter().enumerate() {
-        if s.defs.is_empty() {
-            continue;
-        }
-        gen[id].insert(id);
-        for d in &s.defs {
-            if let Ok(v) = vars.binary_search(d) {
-                for &other in &defs_of[v] {
-                    if other != id {
-                        kill[id].insert(other);
-                    }
-                }
-            }
-        }
-    }
-    let reach = dataflow::solve(&cfg.succ, &gen, &kill);
-
-    FnFlow { tree, cfg, params, vars, reach }
+    FnFlow { tree, cfg, params, vars }
 }
 
 #[cfg(test)]
@@ -288,21 +236,6 @@ mod tests {
         let closure = &items.items[0].children[0];
         let params = fn_params(&lexed.tokens, (closure.tokens.0, closure.body.unwrap().0), true);
         assert_eq!(params, vec!["i", "v", "rest"]);
-    }
-
-    #[test]
-    fn reaching_defs_distinguish_branch_writes() {
-        let (_, f) = flow_of(
-            "fn f(c: bool) -> i64 {\n\
-                 let mut x = 0;\n\
-                 if c { x = 1; } else { x = 2; }\n\
-                 x\n\
-             }\n",
-        );
-        assert!(f.tree.errors.is_empty(), "{:?}", f.tree.errors);
-        // Ids: 0 params, 1 let, 2 `x=1`, 3 `x=2`, 4 if, 5 tail.
-        let defs = f.reaching_defs(5, "x");
-        assert_eq!(defs, vec![2, 3], "both branch writes reach, the init is killed");
     }
 
     #[test]

@@ -368,16 +368,16 @@ impl Lexer {
 
     fn operator(&mut self) {
         let line = self.line;
-        for op in OPS {
+        let first = self.chars[self.pos];
+        for op in OPS.iter().filter(|op| op.starts_with(first)) {
             if op.chars().enumerate().all(|(i, c)| self.peek(i) == Some(c)) {
                 self.pos += op.len();
                 self.push(Tok::Op(op), line);
                 return;
             }
         }
-        let c = self.chars[self.pos];
         self.pos += 1;
-        self.push(Tok::Punct(c), line);
+        self.push(Tok::Punct(first), line);
     }
 }
 

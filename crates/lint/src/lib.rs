@@ -16,9 +16,8 @@
 //!   (modules, fns, impls, use-trees, closures) feeding [`sema`];
 //! - [`rules`] — the [`Rule`](rules::Rule) engine with domain-tailored
 //!   lexical rules (see `fbox-lint --list-rules`);
-//! - [`flow`] — body-level analysis: a tolerant statement parser,
-//!   per-function CFGs with def/use sets, and a gen/kill worklist
-//!   dataflow engine (reaching definitions);
+//! - [`flow`] — body-level analysis: a tolerant statement parser and
+//!   per-function CFGs with def/use sets;
 //! - [`sema`] — the workspace symbol table, the intra-workspace call
 //!   graph with closure-capture edges, per-node [`flow`] results, and
 //!   the transitive determinism / concurrency rule family (`det-*`,
@@ -36,8 +35,12 @@
 //!   `Lint.toml` severity/scoping configuration, and the
 //!   `lint-baseline.json` allowlist with stale-entry detection.
 //!
-//! Scan metrics are published through `fbox-telemetry`, so `--metrics`
-//! output reuses the same table/JSON sinks as the rest of the pipeline.
+//! Each question has one owning rule: clock reads belong to the lexical
+//! `instant-outside-telemetry`, library panics to `unwrap-in-lib` and
+//! `panic-in-lib`, numeric safety to [`absint`]. The whole run is
+//! single-threaded. Scan metrics are published through `fbox-telemetry`,
+//! so `--metrics` output reuses the same table/JSON sinks as the rest of
+//! the pipeline.
 
 pub mod absint;
 pub mod baseline;

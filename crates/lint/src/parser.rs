@@ -325,6 +325,11 @@ impl<'a> Parser<'a> {
             Some("macro_rules") => self.item_macro_def(start, attr_line),
             Some("extern") => self.item_extern(start, attr_line),
             Some(name) if !is_keyword(name) => self.item_macro_call(start, attr_line),
+            Some("crate" | "self" | "super")
+                if matches!(self.tok(kw_pos + 1), Some(Tok::Op("::"))) =>
+            {
+                self.item_macro_call(start, attr_line)
+            }
             _ => None,
         };
         if result.is_none() {
@@ -1066,6 +1071,18 @@ mod tests {
         );
         let st = &tree.items[7];
         assert_eq!(st.kind, ItemKind::Static { mutable: true, ty: "u32".into() });
+    }
+
+    #[test]
+    fn path_qualified_item_macro_calls_parse() {
+        let tree = parsed(
+            "crate::object!(S { x });\n\
+             self::m!(a);\n\
+             super::outer::m! { b }\n\
+             pub fn after() {}\n",
+        );
+        assert!(tree.errors.is_empty(), "parse errors: {:?}", tree.errors);
+        assert_eq!(kinds(&tree), vec!["MacroCall:", "MacroCall:", "MacroCall:", "Fn:after"]);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! fairness numbers (NaN-unsafe comparators, raw float equality) are
 //! visible at token level. Numeric safety that needs values — casts and
 //! divisions — belongs to the interval analysis in [`crate::absint`].
+//!
+//! A lexical rule that already sees every line a call-graph cone could
+//! reach owns its question outright: `instant-outside-telemetry` owns
+//! clock reads and `unwrap-in-lib` / `panic-in-lib` own library panics,
+//! so [`crate::sema`] has no transitive twin of either.
 
 use crate::source::SourceFile;
 
@@ -39,10 +44,9 @@ pub struct Finding {
 
 serde::object!(Finding { rule, file, line, snippet, path });
 
-/// A domain-tailored static-analysis rule. `Sync` because the engine
-/// fans the lexical pass out over `fbox_par::par_map` with one shared
-/// rule set; rules are stateless (all state lives in `out`).
-pub trait Rule: Sync {
+/// A domain-tailored static-analysis rule. Rules are stateless (all
+/// state lives in `out`).
+pub trait Rule {
     /// Stable kebab-case identifier, used in `Lint.toml`, baselines, and
     /// inline suppressions.
     fn id(&self) -> &'static str;
@@ -95,7 +99,6 @@ impl Severity {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(unwrap::UnwrapInLib),
-        Box::new(unwrap::ExpectInLib),
         Box::new(panic::PanicInLib),
         Box::new(float_eq::FloatEq),
         Box::new(nan_sort::NanUnsafeSort),

@@ -9,7 +9,10 @@
 //! catch one where it *matters* — a `HashMap` iteration three helpers
 //! deep in a function reachable from a cube build is just as fatal as one
 //! in the build loop itself. Every semantic finding therefore carries the
-//! full call path from the pipeline root to the violation.
+//! full call path from the pipeline root to the violation. A question a
+//! lexical rule already answers on every line a cone could reach has no
+//! transitive twin here: clock reads belong to `instant-outside-telemetry`
+//! and library panics to `unwrap-in-lib` / `panic-in-lib`.
 //!
 //! Resolution is deliberately conservative and name-based (no type
 //! inference): free calls resolve through module paths and `use` imports,
@@ -30,23 +33,21 @@ use crate::source::SourceFile;
 mod atomic_relaxed_handoff;
 mod det_env_read;
 mod det_hash_iter;
-mod det_wall_clock;
 mod par_float_reduce;
-mod par_panic;
 mod par_shared_capture;
 mod race_static_mut;
 
 pub use atomic_relaxed_handoff::AtomicRelaxedHandoff;
 pub use det_env_read::DetEnvRead;
 pub use det_hash_iter::DetHashIter;
-pub use det_wall_clock::DetWallClock;
 pub use par_float_reduce::ParFloatReduceOrder;
-pub use par_panic::ParPanicReachable;
 pub use par_shared_capture::ParSharedCapture;
 pub use race_static_mut::RaceStaticMut;
 
 /// The `fbox-par` fan-out entry points whose closure arguments become
-/// [`par-panic-reachable`](ParPanicReachable) roots.
+/// parallel roots: the cone that `par-shared-capture`,
+/// `par-float-reduce-order`, `race-static-mut` and
+/// `atomic-relaxed-handoff` search.
 pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "scope", "with_threads"];
 
 /// Default determinism roots: the cube builds and the reference cubes
@@ -102,8 +103,6 @@ pub fn all_sema_rules() -> Vec<Box<dyn SemaRule>> {
     vec![
         Box::new(DetHashIter),
         Box::new(DetEnvRead),
-        Box::new(DetWallClock),
-        Box::new(ParPanicReachable),
         Box::new(RaceStaticMut),
         Box::new(ParSharedCapture),
         Box::new(ParFloatReduceOrder),
@@ -151,7 +150,7 @@ pub struct FnNode {
     /// Impl (or trait) type name for methods.
     pub impl_type: Option<String>,
     /// For closures: the `fbox-par` entry point this closure is an
-    /// argument of, when any (makes it a `par-panic-reachable` root).
+    /// argument of, when any (makes it a parallel root).
     pub par_entry: Option<String>,
     /// Whether the node is a closure.
     pub is_closure: bool,

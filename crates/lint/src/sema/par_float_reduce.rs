@@ -109,15 +109,21 @@ fn find_reduction(model: &Model, node: usize, container: &str) -> Option<(usize,
         .filter(|&&c| model.nodes[c].is_closure)
         .filter_map(|&c| model.nodes[c].body)
         .collect();
+    // Names bound from the container anywhere in the body (`let drained
+    // = partials.lock()…`). Flow-insensitive, so a superset of the
+    // definitions that really reach a read: it can add a finding, never
+    // hide one.
+    let derived: Vec<&str> = flow
+        .tree
+        .stmts
+        .iter()
+        .filter(|s| s.uses.iter().any(|u| u == container))
+        .flat_map(|s| s.defs.iter().map(String::as_str))
+        .collect();
     for (id, stmt) in flow.tree.stmts.iter().enumerate() {
         // Reads the container, directly or through one intermediate
-        // binding (`let drained = partials.lock()…; total += drained…`).
-        let reads = stmt.uses.iter().any(|u| u == container)
-            || stmt.uses.iter().any(|u| {
-                flow.reaching_defs(id, u)
-                    .iter()
-                    .any(|&d| flow.stmt(d).uses.iter().any(|du| du == container))
-            });
+        // binding (`total += drained…`).
+        let reads = stmt.uses.iter().any(|u| u == container || derived.contains(&u.as_str()));
         if !reads {
             continue;
         }
@@ -192,6 +198,20 @@ mod tests {
         let out = findings(src);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].line, 4);
+    }
+
+    #[test]
+    fn reduction_one_binding_away_is_flagged() {
+        let src = "pub fn build(xs: &[f64]) -> f64 {\n\
+                       let partials = Mutex::new(Vec::new());\n\
+                       par_map(xs, |x| partials.lock().unwrap().push(x * 2.0));\n\
+                       let drained = partials.into_inner().unwrap();\n\
+                       let total: f64 = drained.iter().sum::<f64>();\n\
+                       total\n\
+                   }\n";
+        let out = findings(src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 5);
     }
 
     #[test]

@@ -163,7 +163,7 @@ fn random_straight_line_programs_stay_inside_their_intervals() {
             for &b in INPUT_GRID {
                 let vals = interpret(&stmts, a, b);
                 for (slot, &val) in vals.iter().enumerate() {
-                    match tail_env.get(&var_name(slot)).and_then(AbsVal::interval) {
+                    match tail_env.get(var_name(slot).as_str()).and_then(AbsVal::interval) {
                         Some(iv) => {
                             checked += 1;
                             assert!(

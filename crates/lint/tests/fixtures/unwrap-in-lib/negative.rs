@@ -1,5 +1,6 @@
 // Fixture: unwraps that must NOT be flagged — test-gated code, fn
-// definitions, path references, and comment/string mentions.
+// definitions, path references, comment/string mentions, and an
+// `expect` that names its invariant.
 
 pub fn shipped(x: Option<f64>) -> f64 {
     // a comment saying .unwrap() is fine
@@ -18,6 +19,10 @@ impl Wrapper {
 
 pub fn by_path(values: Vec<Option<f64>>) -> Vec<f64> {
     values.into_iter().map(Option::unwrap_or_default).collect()
+}
+
+pub fn named(x: Option<u64>) -> u64 {
+    x.expect("named invariant")
 }
 
 #[cfg(test)]

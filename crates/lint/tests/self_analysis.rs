@@ -6,7 +6,6 @@
 
 use std::path::{Path, PathBuf};
 
-use fbox_lint::baseline::Baseline;
 use fbox_lint::config::Config;
 use fbox_lint::engine;
 use fbox_lint::parser::Item;
@@ -105,31 +104,6 @@ fn every_workspace_body_flows_with_zero_errors_and_connected_cfgs() {
     }
     assert!(bodies > 1000, "suspiciously few bodies analyzed: {bodies}");
     assert!(stmts > 10_000, "suspiciously few statements parsed: {stmts}");
-}
-
-/// The engine fans the lexical pass out over `fbox_par`, and the
-/// abstract interpreter fans each call-graph SCC batch out the same
-/// way; the report must be identical at any worker count (input-order
-/// flattening, no shared mutable state in rules, SCC-order fixpoint).
-/// Byte-identical serialized output is the contract CI relies on.
-#[test]
-fn lint_run_is_deterministic_across_thread_counts() {
-    let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("Lint.toml")).expect("Lint.toml is readable");
-    let config = Config::parse(&text).expect("Lint.toml parses");
-    let run = || {
-        let registry = fbox_telemetry::Registry::new();
-        engine::run(&root, &config, &Baseline::default(), &registry)
-    };
-    let serial = fbox_par::with_threads(1, run);
-    let wide = fbox_par::with_threads(7, run);
-    assert_eq!(serial.findings, wide.findings);
-    assert_eq!(serial.stale_baseline, wide.stale_baseline);
-    assert_eq!(serial.files_scanned, wide.files_scanned);
-    assert_eq!(serial.lines_scanned, wide.lines_scanned);
-    let serial_bytes = serde::json::to_string_pretty(&serial);
-    let wide_bytes = serde::json::to_string_pretty(&wide);
-    assert_eq!(serial_bytes, wide_bytes, "serialized reports must be byte-identical");
 }
 
 /// The abstract interpreter's reality check: every function body in the

@@ -133,40 +133,6 @@ fn det_env_read_reports_the_full_call_path() {
 }
 
 #[test]
-fn det_wall_clock_reports_the_full_call_path() {
-    let rule = rule_by_id("det-wall-clock");
-    let file = load_fixture("det-wall-clock", "positive.rs");
-    let out = run_rule(rule.as_ref(), &file);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].line, 13);
-    assert_eq!(
-        out[0].path,
-        [
-            "fixture::positive::run_study (crates/fixture/src/positive.rs:4)",
-            "fixture::positive::measure (crates/fixture/src/positive.rs:8)",
-            "fixture::positive::stamp (crates/fixture/src/positive.rs:12)",
-        ]
-    );
-}
-
-#[test]
-fn par_panic_reachable_roots_at_the_parallel_closure() {
-    let rule = rule_by_id("par-panic-reachable");
-    let file = load_fixture("par-panic-reachable", "positive.rs");
-    let out = run_rule(rule.as_ref(), &file);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].line, 13);
-    assert_eq!(
-        out[0].path,
-        [
-            "fixture::positive::shard::{closure@5} (crates/fixture/src/positive.rs:5)",
-            "fixture::positive::normalize (crates/fixture/src/positive.rs:8)",
-            "fixture::positive::checked_double (crates/fixture/src/positive.rs:12)",
-        ]
-    );
-}
-
-#[test]
 fn par_shared_capture_paths_root_to_definition_to_write() {
     let rule = rule_by_id("par-shared-capture");
     let file = load_fixture("par-shared-capture", "positive.rs");
